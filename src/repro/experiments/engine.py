@@ -51,8 +51,10 @@ from typing import Callable, Optional
 
 from repro.experiments.cache import ResultCache, code_version
 from repro.experiments.spec import PARALLEL, ExperimentSpec, SpecPoint
+from repro.machine.core import ModelError
 from repro.observability.metrics import METRICS
 from repro.results import Measurement
+from repro.util.validation import ValidationError
 
 ProgressFn = Callable[[int, int, "PointResult"], None]
 
@@ -203,6 +205,12 @@ class ExperimentResult:
         return path
 
 
+#: Errors a point raises identically on every attempt — a shape the
+#: model does not support, an invalid configuration — so the engine
+#: records them on the first raise instead of retrying.
+_REJECTIONS = (ModelError, ValidationError)
+
+
 class ExperimentEngine:
     """Runs specs with a shared cache, job count and progress stream.
 
@@ -227,7 +235,9 @@ class ExperimentEngine:
         indefinitely.
     retries:
         How many times a raising point is re-attempted (after the
-        first try) before it counts as failed.
+        first try) before it counts as failed.  A ``ModelError`` or
+        ``ValidationError`` would raise again on every attempt, so
+        it fails the point at once.
     retry_backoff:
         Base of the exponential retry delay: attempt *k* waits
         ``retry_backoff · 2^(k-1)`` seconds before re-running.
@@ -328,7 +338,7 @@ class ExperimentEngine:
                 try:
                     m, dt = execute_point(pt)
                 except Exception as exc:  # noqa: BLE001 - salvage boundary
-                    if attempt > self.retries:
+                    if attempt > self.retries or isinstance(exc, _REJECTIONS):
                         if not self.salvage:
                             raise
                         fail(
@@ -353,6 +363,7 @@ class ExperimentEngine:
             # outstanding future) are retried serially in-process after
             # the pool is gone.
             leftovers: "list[tuple[int, SpecPoint]]" = []
+            rejected: "list[tuple[int, SpecPoint, Exception]]" = []
             pool = ProcessPoolExecutor(max_workers=workers)
             futures = {
                 pool.submit(execute_point, pt): (i, pt) for i, pt in pending
@@ -372,6 +383,8 @@ class ExperimentEngine:
                     i, pt = futures[fut]
                     try:
                         m, dt = fut.result()
+                    except _REJECTIONS as exc:
+                        rejected.append((i, pt, exc))
                     except Exception:  # noqa: BLE001 - retried serially
                         leftovers.append((i, pt))
                     else:
@@ -397,6 +410,10 @@ class ExperimentEngine:
                     fail(i, pt, err, float(self.point_timeout))
             else:
                 pool.shutdown(wait=True)
+            for i, pt, exc in sorted(rejected, key=lambda r: r[0]):
+                if not self.salvage:
+                    raise exc
+                fail(i, pt, f"{type(exc).__name__}: {exc}", 0.0)
             for i, pt in sorted(leftovers):
                 run_serial(i, pt)
         else:

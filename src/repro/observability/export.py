@@ -5,7 +5,9 @@ Two consumers of a :class:`~repro.observability.spans.SpanProfile`:
 * :func:`write_chrome_trace` emits the Trace Event Format understood
   by ``chrome://tracing`` and Perfetto — one ``"X"`` (complete) event
   per span, with the counter deltas riding in ``args`` so hovering a
-  slice shows its words/messages/flops attribution;
+  slice shows its words/messages/flops attribution.  It writes one
+  phase profile (``repro trace``) or many served-job traces at once
+  (``ServingCluster.write_trace``, ``repro serve --trace-out``);
 * :func:`phase_report` renders the span tree as an indented text
   table, and :func:`phase_totals` aggregates the *exclusive* counter
   share per span name (the per-phase attribution the paper's closed
@@ -13,27 +15,48 @@ Two consumers of a :class:`~repro.observability.spans.SpanProfile`:
 
 Every emitted trace event carries the schema's required keys ``ph``,
 ``ts``, ``pid``, ``tid`` and ``name`` (CI validates this on a real
-run).  Timestamps are microseconds relative to the recorder's start.
+run).  Timestamps are microseconds from the earliest span's start.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from typing import Any
+from typing import Any, Iterable
 
 from repro.observability.spans import SpanProfile
+from repro.observability.tracing import trace_records
+from repro.util.serialization import atomic_write_json
+
+#: Wire-record fields a job trace's slices carry in their ``args``.
+_TRACE_ARGS = ("trace_id", "span_id", "parent_span_id", "status")
 
 
 def chrome_trace_events(
-    profile: SpanProfile, *, pid: int = 0, tid: int = 0
+    profile: "SpanProfile | Iterable[SpanProfile]", *, pid: int = 0, tid: int = 0
 ) -> "list[dict[str, Any]]":
-    """Flatten a span tree into Trace Event Format dicts.
+    """Flatten span trees into Trace Event Format dicts.
 
-    Uses ``"X"`` (complete) events: Chrome nests slices on one thread
-    track by their ``ts``/``dur`` containment, which span trees
-    satisfy by construction.
+    ``profile`` is one tree or an iterable of them.  Uses ``"X"``
+    (complete) events: Chrome nests slices on one thread track by
+    their ``ts``/``dur`` containment, which span trees satisfy by
+    construction.  Spans recorded by a named ``process`` (served-job
+    traces) get one track per process, named by ``thread_name``
+    metadata, and a job trace's slices carry its trace and span ids,
+    which link one job's slices across tracks.
     """
+    trees = (profile,) if isinstance(profile, SpanProfile) else profile
+    rows = []
+    for tree in trees:
+        if not tree.trace_id:
+            rows.extend((path, span, {}) for path, span in tree.walk())
+            continue
+        rows.extend(
+            (path, span, {k: r[k] for k in _TRACE_ARGS})
+            for (path, span), r in zip(tree.walk(), trace_records(tree))
+        )
+    processes = sorted({span.process for _, span, _ in rows})
+    tids = {name: tid + i for i, name in enumerate(processes)}
+    t0 = min((span.t_start for _, span, _ in rows), default=0.0)
     events: "list[dict[str, Any]]" = [
         {
             "ph": "M",
@@ -44,7 +67,19 @@ def chrome_trace_events(
             "args": {"name": "repro"},
         }
     ]
-    for path, span in profile.walk():
+    events.extend(
+        {
+            "ph": "M",
+            "ts": 0,
+            "pid": pid,
+            "tid": tids[name],
+            "name": "thread_name",
+            "args": {"name": name},
+        }
+        for name in processes
+        if name
+    )
+    for path, span, ids in rows:
         args: "dict[str, Any]" = {
             "path": path,
             "words": span.words,
@@ -52,15 +87,16 @@ def chrome_trace_events(
             "words_read": span.words_read,
             "words_written": span.words_written,
             "flops": span.flops,
+            **ids,
         }
-        args.update({k: v for k, v in span.attrs})
+        args.update(span.attrs)
         events.append(
             {
                 "ph": "X",
-                "ts": span.t_start * 1e6,
+                "ts": (span.t_start - t0) * 1e6,
                 "dur": max(span.duration, 0.0) * 1e6,
                 "pid": pid,
-                "tid": tid,
+                "tid": tids[span.process],
                 "name": span.name,
                 "cat": "span",
                 "args": args,
@@ -70,15 +106,17 @@ def chrome_trace_events(
 
 
 def write_chrome_trace(
-    profile: SpanProfile, path: str, *, pid: int = 0, tid: int = 0
+    profile: "SpanProfile | Iterable[SpanProfile]",
+    path: str,
+    *,
+    pid: int = 0,
+    tid: int = 0,
 ) -> str:
     """Write a ``chrome://tracing``-loadable JSON file; returns the path."""
     payload = {
         "traceEvents": chrome_trace_events(profile, pid=pid, tid=tid),
         "displayTimeUnit": "ms",
     }
-    from repro.util.serialization import atomic_write_json
-
     return atomic_write_json(path, payload, indent=1)
 
 

@@ -29,7 +29,7 @@ Design constraints (mirrored by the tests):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, Mapping
 
 #: Fixed counter schema every snapshot uses, in order:
@@ -90,6 +90,12 @@ class SpanProfile:
     share.  The tree serializes losslessly through
     :meth:`to_dict`/:meth:`from_dict`, which is what experiment
     artifacts store.
+
+    The same type records a served job's trace
+    (:mod:`repro.observability.tracing`); there each span also names
+    its terminal ``status`` and the ``process`` that recorded it, and
+    the job's root carries the ``trace_id``.  Phase profiles leave the
+    three empty.
     """
 
     name: str
@@ -102,11 +108,30 @@ class SpanProfile:
     t_start: float = 0.0
     t_end: float = 0.0
     children: "tuple[SpanProfile, ...]" = ()
+    status: str = ""
+    process: str = ""
+    trace_id: str = ""
+
+    def __iter__(self) -> "Iterator[SpanProfile]":
+        """Every span of the tree, depth-first, this one first."""
+        yield self
+        for c in self.children:
+            yield from c
 
     @property
     def duration(self) -> float:
         """Wall-clock seconds the span was open."""
         return self.t_end - self.t_start
+
+    def shifted(self, dt: float, **changes: Any) -> "SpanProfile":
+        """The tree moved ``dt`` seconds later, ``changes`` set on every span."""
+        return replace(
+            self,
+            t_start=self.t_start + dt,
+            t_end=self.t_end + dt,
+            children=tuple(c.shifted(dt, **changes) for c in self.children),
+            **changes,
+        )
 
     @property
     def is_leaf(self) -> bool:
@@ -169,7 +194,7 @@ class SpanProfile:
 
     def to_dict(self) -> dict:
         """JSON-ready nested dict (recursive over children)."""
-        return {
+        out = {
             "name": self.name,
             "attrs": [[k, v] for k, v in self.attrs],
             "words": int(self.words),
@@ -181,6 +206,10 @@ class SpanProfile:
             "t_end": float(self.t_end),
             "children": [c.to_dict() for c in self.children],
         }
+        for key in ("status", "process", "trace_id"):
+            if getattr(self, key):
+                out[key] = getattr(self, key)
+        return out
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "SpanProfile":
@@ -198,6 +227,9 @@ class SpanProfile:
             children=tuple(
                 cls.from_dict(c) for c in (d.get("children") or ())
             ),
+            status=str(d.get("status", "")),
+            process=str(d.get("process", "")),
+            trace_id=str(d.get("trace_id", "")),
         )
 
 

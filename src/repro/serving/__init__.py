@@ -52,7 +52,7 @@ from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serving.budget import Budget, BudgetExceeded, BudgetGuard
 from repro.serving.client import ServingClient
 from repro.serving.clock import MONOTONIC, ManualClock
-from repro.serving.cluster import ClusterTicket, ServingCluster
+from repro.serving.cluster import ServingCluster
 from repro.serving.journal import (
     CRASH_EXIT_CODE,
     JobJournal,
@@ -93,7 +93,6 @@ __all__ = [
     "CircuitBreaker",
     "CLOSED",
     "CRASH_EXIT_CODE",
-    "ClusterTicket",
     "DEGRADED",
     "DONE",
     "FAILED",

@@ -62,8 +62,8 @@ wire document from an incompatible future schema with
 * **2** — distributed tracing (PR 7): jobs may carry a ``trace``
   context (:class:`~repro.observability.tracing.TraceContext` dict)
   minted at submission, and terminal responses may carry ``trace`` —
-  the job's cross-process span records
-  (:class:`~repro.observability.tracing.SpanRecord` dicts).  Both
+  the job's cross-process span tree, one flat record per span
+  (:func:`~repro.observability.tracing.trace_records`).  Both
   keys are **omitted when absent**, so an untraced job's wire
   documents are byte-identical to version 1 apart from the stamp,
   and version-1 readers that ignore unknown keys keep working.
@@ -101,7 +101,13 @@ from repro.experiments.spec import (
     _freeze_abft,
 )
 from repro.faults.plan import FaultPlan
-from repro.observability.tracing import SpanRecord, TraceContext
+from repro.observability.spans import SpanProfile
+from repro.observability.tracing import (
+    TraceContext,
+    TraceInvariantError,
+    trace_from_records,
+    trace_records,
+)
 from repro.results import Measurement, freeze_params
 from repro.serving.budget import Budget
 from repro.serving.degrade import Prediction
@@ -193,9 +199,10 @@ class ServiceResponse:
     attempts: int = 0
     wall_seconds: float = 0.0
     priority: int = PRIORITY_NORMAL
-    #: The job's cross-process span records (schema v2); ``None`` for
-    #: untraced jobs, so disabled-mode payloads match version 1 exactly.
-    trace: "tuple[SpanRecord, ...] | None" = None
+    #: The job's cross-process span tree, rooted at its ``job`` span
+    #: (schema v2); ``None`` for untraced jobs, so disabled-mode
+    #: payloads match version 1 exactly.
+    trace: "SpanProfile | None" = None
     #: ABFT outcome (schema v3): ``True`` when the measurement's
     #: checksum protection verified end-to-end, ``False`` when
     #: protection was requested but did not complete; ``None`` (and
@@ -231,7 +238,7 @@ class ServiceResponse:
             "priority": priority_name(self.priority),
         }
         if self.trace is not None:
-            out["trace"] = [r.to_dict() for r in self.trace]
+            out["trace"] = trace_records(self.trace)
         if self.verified is not None:
             out["verified"] = bool(self.verified)
         return out
@@ -281,16 +288,22 @@ class JobTicket:
             response = self._response
         fn(response)
 
-    def resolve(self, response: ServiceResponse) -> None:
-        """Attach the terminal response (service-internal; idempotent-safe)."""
+    def resolve(self, response: ServiceResponse) -> bool:
+        """Attach the terminal response; the first one wins.
+
+        Returns whether this call delivered it.  A duplicate — a job
+        resubmitted after a shard death may, in pathological timing,
+        answer twice — is dropped, never raised.
+        """
         with self._lock:
             if self._event.is_set():
-                raise RuntimeError(f"{self.job_id} already resolved")
+                return False
             self._response = response
             callbacks, self._callbacks = self._callbacks, []
             self._event.set()
         for fn in callbacks:
             fn(response)
+        return True
 
     def result(self, timeout: "float | None" = None) -> ServiceResponse:
         """Block until terminal; raises ``TimeoutError`` on timeout."""
@@ -443,11 +456,10 @@ def response_from_wire(d: Mapping[str, Any]) -> ServiceResponse:
         if d.get("prediction") is None
         else Prediction.from_dict(d["prediction"])
     )
-    trace = (
-        None
-        if d.get("trace") is None
-        else tuple(SpanRecord.from_dict(r) for r in d["trace"])
-    )
+    try:
+        trace = None if d.get("trace") is None else trace_from_records(d["trace"])
+    except TraceInvariantError as exc:
+        raise WireError(f"response: {exc}") from exc
     return ServiceResponse(
         job_id=job_id,
         status=status,

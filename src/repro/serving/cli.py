@@ -710,10 +710,10 @@ def serve_main(argv: "list[str]") -> int:
             file=sys.stderr,
         )
     if args.trace_out:
-        from repro.observability.tracing import write_cluster_trace
+        from repro.observability.export import write_chrome_trace
 
-        traces = [r.trace for r in responses if r.trace]
-        path = write_cluster_trace(traces, args.trace_out)
+        traces = [r.trace for r in responses if r.trace is not None]
+        path = write_chrome_trace(traces, args.trace_out)
         print(
             f"[serve] wrote {path} ({len(traces)} trace(s))",
             file=sys.stderr,

@@ -86,18 +86,14 @@ from repro.experiments.spec import SpecPoint
 from repro.faults.plan import ClusterFaultPlan
 from repro.observability.metrics import METRICS
 from repro.observability.slo import SLOTarget, SLOTracker
-from repro.observability.tracing import (
-    ROOT_SPAN,
-    SpanRecord,
-    TraceLog,
-    derive_span_id,
-    root_context,
-    write_cluster_trace,
-)
+from repro.observability.export import write_chrome_trace
+from repro.observability.spans import SpanProfile
+from repro.observability.tracing import job_span, job_trace, root_context
 from repro.serving.api import (
     FAILED,
     SHED,
     Job,
+    JobTicket,
     ServiceResponse,
     job_from_wire,
     job_to_wire,
@@ -117,8 +113,9 @@ from repro.serving.supervisor import (
 )
 from repro.serving.telemetry import ClusterTelemetry, TelemetryBus, make_event
 from repro.util.serialization import atomic_write_json
+from repro.util.validation import ValidationError
 
-#: Process label for front-door span records and telemetry events.
+#: Process label for front-door trace spans and telemetry events.
 FRONTDOOR = "frontdoor"
 
 INLINE = "inline"
@@ -126,59 +123,6 @@ PROCESS = "process"
 
 #: Breaker states considered "hard open" (cooldown still running).
 _OPEN = "open"
-
-
-class ClusterTicket:
-    """Front-door handle for one job: await its terminal response.
-
-    Mirrors :class:`~repro.serving.api.JobTicket`'s interface but
-    resolves idempotently: a job that was resubmitted after a shard
-    death may, in pathological timing, produce two answers — the first
-    wins and the duplicate is counted, never raised.
-    """
-
-    def __init__(self, job: Job) -> None:
-        self.job = job
-        self._event = threading.Event()
-        self._response: "ServiceResponse | None" = None
-        self._callbacks: "list[Callable[[ServiceResponse], None]]" = []
-        self._lock = threading.Lock()
-
-    @property
-    def job_id(self) -> str:
-        return self.job.job_id
-
-    def done(self) -> bool:
-        """Has the job reached a terminal state?"""
-        return self._event.is_set()
-
-    def add_done_callback(self, fn: "Callable[[ServiceResponse], None]") -> None:
-        """Run ``fn(response)`` at resolution (immediately if resolved)."""
-        with self._lock:
-            if self._response is None:
-                self._callbacks.append(fn)
-                return
-            response = self._response
-        fn(response)
-
-    def resolve_once(self, response: ServiceResponse) -> bool:
-        """First resolution wins; returns False for a duplicate."""
-        with self._lock:
-            if self._event.is_set():
-                return False
-            self._response = response
-            callbacks, self._callbacks = self._callbacks, []
-            self._event.set()
-        for fn in callbacks:
-            fn(response)
-        return True
-
-    def result(self, timeout: "float | None" = None) -> ServiceResponse:
-        """Block until terminal; raises ``TimeoutError`` on timeout."""
-        if not self._event.wait(timeout=timeout):
-            raise TimeoutError(f"{self.job_id} not terminal within {timeout}s")
-        assert self._response is not None
-        return self._response
 
 
 class _Tracked:
@@ -189,7 +133,7 @@ class _Tracked:
     def __init__(
         self,
         job: Job,
-        ticket: ClusterTicket,
+        ticket: JobTicket,
         shard: str,
         t_submit: float = 0.0,
         index: int = 0,
@@ -740,10 +684,10 @@ class ServingCluster:
         self._recent_points: "list[SpecPoint]" = []
         self._recent_points_cap = 64
         #: tickets :meth:`recover` resubmitted from the journal.
-        self.recovered: "tuple[ClusterTicket, ...]" = ()
-        #: job_id -> merged span records of resolved traced jobs
+        self.recovered: "tuple[JobTicket, ...]" = ()
+        #: job_id -> span tree of each resolved traced job
         #: (bounded; oldest evicted first — insertion order).
-        self._traces: "dict[str, tuple[SpanRecord, ...]]" = {}
+        self._traces: "dict[str, SpanProfile]" = {}
         self._trace_capacity = 4096
         self._owns_store_dir: "str | None" = None
         if store is None:
@@ -900,13 +844,15 @@ class ServingCluster:
 
     def submit(
         self, job: "Job | SpecPoint | Mapping", *, _recovered: bool = False
-    ) -> ClusterTicket:
+    ) -> JobTicket:
         """Route one job to its shard; returns the front-door ticket.
 
         Accepts the same shapes as ``FactorizationService.submit``: a
         :class:`Job`, a bare :class:`SpecPoint`, or a job wire
         document.  Structural validation happens here — before
-        anything crosses a pipe.  With no routable shard (empty ring,
+        anything crosses a pipe — and a job whose ``job_id`` is still
+        in flight is refused with ``ValidationError`` before the job
+        is touched.  With no routable shard (empty ring,
         shutdown) the ticket resolves immediately with a structured
         shed response; nothing hangs.
 
@@ -921,6 +867,8 @@ class ServingCluster:
             job = job_from_wire(job)
         _validate_job_point(job.point)
         with self._lock:
+            if job.job_id in self._inflight:
+                raise ValidationError(f"{job.job_id} is already in flight")
             index = self._submit_index
             self._submit_index += 1
         if self._chaos is not None:
@@ -937,7 +885,7 @@ class ServingCluster:
             # also made it to disk
             self._journal.record_accepted(job, key, recovered=_recovered)
         t_submit = self._clock()
-        ticket = ClusterTicket(job)
+        ticket = JobTicket(job)
         with self._lock:
             if self._closed:
                 shard_name = None
@@ -1052,7 +1000,7 @@ class ServingCluster:
             response = self._merge_trace(tracked, response, now)
             self._store_trace(job_id, response.trace)
         self._publish_depth(tracked.shard)
-        delivered = tracked.ticket.resolve_once(response)
+        delivered = tracked.ticket.resolve(response)
         if delivered and self._journal is not None:
             # terminal record strictly *after* delivery: a crash in the
             # gap resubmits the job on recovery, deduplicated by its
@@ -1078,86 +1026,47 @@ class ServingCluster:
     def _merge_trace(
         self, tracked: _Tracked, response: ServiceResponse, now: float
     ) -> ServiceResponse:
-        """Graft the shard's span records under the front door's root.
+        """Put the shard's stages under the front door's root span.
 
         The root span covers exactly the client-observed window
         (front-door submit → resolution); a zero-width ``route`` child
         pins which shard served the job (a volatile attr, excluded
-        from the canonical form).  In process mode the shard's records
+        from the canonical form).  In process mode the shard's stages
         are on the *child's* clock — they are re-based so the shard's
         first stage starts at the front-door submit instant, which is
         exact in inline mode (shared clock, delta 0) and off by only
-        the pipe transit in process mode.
+        the pipe transit in process mode.  ``resolve`` covers the tail
+        the shard's stages don't explain (response pipe transit plus
+        this merge), so the stages tile the client-observed window.
         """
-        ctx = tracked.job.trace
-        shard_records = list(response.trace or ())
-        if shard_records:
-            base = min(r.t_start for r in shard_records)
-            delta = tracked.t_submit - base
-            if delta:
-                shard_records = [
-                    dataclasses.replace(
-                        r, t_start=r.t_start + delta, t_end=r.t_end + delta
-                    )
-                    for r in shard_records
-                ]
-        m = response.measurement
-        root = SpanRecord(
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-            parent_span_id=None,
-            name=ROOT_SPAN,
-            process=FRONTDOOR,
-            t_start=tracked.t_submit,
-            t_end=now,
-            status=response.status,
-            words=0 if m is None else int(m.words),
-            messages=0 if m is None else int(m.messages),
-            flops=0 if m is None else int(m.flops),
-            attrs=(
-                ("algorithm", tracked.job.point.algorithm),
-                ("job_id", tracked.job.job_id),
-            ),
-        )
-        route = SpanRecord(
-            trace_id=ctx.trace_id,
-            span_id=derive_span_id(ctx.trace_id, ctx.span_id, "route", 0),
-            parent_span_id=ctx.span_id,
-            name="route",
-            process=FRONTDOOR,
-            t_start=tracked.t_submit,
-            t_end=tracked.t_submit,
-            attrs=(("shard", tracked.shard),),
-        )
-        # the tail of the window the shard's stages don't explain —
-        # response pipe transit plus front-door merge (zero-width under
-        # the inline shared clock); with it, the recorded stages tile
-        # the client-observed window completely.
-        shard_end = (
-            max(r.t_end for r in shard_records)
-            if shard_records
-            else tracked.t_submit
-        )
-        resolve = SpanRecord(
-            trace_id=ctx.trace_id,
-            span_id=derive_span_id(ctx.trace_id, ctx.span_id, "resolve", 0),
-            parent_span_id=ctx.span_id,
-            name="resolve",
-            process=FRONTDOOR,
-            t_start=min(shard_end, now),
-            t_end=now,
+        t0 = tracked.t_submit
+        stages: "tuple[SpanProfile, ...]" = ()
+        if response.trace is not None:
+            shard_root = response.trace
+            stages = tuple(
+                s.shifted(t0 - shard_root.t_start) for s in shard_root.children
+            )
+        shard_end = max((s.t_end for s in stages), default=t0)
+        stages = (
+            job_span("route", t0, t0, process=FRONTDOOR, shard=tracked.shard),
+            *stages,
+            job_span("resolve", min(shard_end, now), now, process=FRONTDOOR),
         )
         return dataclasses.replace(
-            response, trace=tuple([root, route] + shard_records + [resolve])
+            response,
+            trace=job_trace(
+                tracked.job, response, stages,
+                process=FRONTDOOR, t_start=t0, t_end=now,
+            ),
         )
 
-    def _store_trace(self, job_id: str, records) -> None:
+    def _store_trace(self, job_id: str, trace: SpanProfile) -> None:
         with self._lock:
-            self._traces[job_id] = tuple(records)
+            self._traces[job_id] = trace
             while len(self._traces) > self._trace_capacity:
                 self._traces.pop(next(iter(self._traces)))
 
-    def _finish(self, ticket: ClusterTicket, response: ServiceResponse) -> None:
+    def _finish(self, ticket: JobTicket, response: ServiceResponse) -> None:
         """Resolve a job the front door itself terminates (sheds).
 
         Nothing crossed a pipe, so the whole trace — root plus an
@@ -1166,20 +1075,17 @@ class ServingCluster:
         job = ticket.job
         now = self._clock()
         if job.trace is not None and response.trace is None:
-            log = TraceLog(
-                job.trace, process=FRONTDOOR, minted_root=True, start=now
+            admission = job_span(
+                "admission", now, now, process=FRONTDOOR,
+                status=response.status, reason=response.reason,
             )
-            log.add(
-                "admission", now, status=response.status, reason=response.reason
+            response = dataclasses.replace(
+                response,
+                trace=job_trace(
+                    job, response, [admission],
+                    process=FRONTDOOR, t_start=now, t_end=now,
+                ),
             )
-            log.close_root(
-                now,
-                t_start=now,
-                status=response.status,
-                algorithm=job.point.algorithm,
-                job_id=job.job_id,
-            )
-            response = dataclasses.replace(response, trace=log.records())
             self._store_trace(job.job_id, response.trace)
         self.slo.record(job.point.algorithm, response.status, 0.0)
         if self.telemetry is not None:
@@ -1192,7 +1098,7 @@ class ServingCluster:
             self._status_counts[response.status] = (
                 self._status_counts.get(response.status, 0) + 1
             )
-        if ticket.resolve_once(response) and self._journal is not None:
+        if ticket.resolve(response) and self._journal is not None:
             self._journal.record_terminal(
                 job.job_id,
                 job.point.key(),
@@ -1522,8 +1428,8 @@ class ServingCluster:
         doc["readiness"] = self.readiness()
         return atomic_write_json(path, doc, indent=1, sort_keys=True)
 
-    def job_traces(self) -> "dict[str, tuple[SpanRecord, ...]]":
-        """Merged span records of resolved traced jobs, by job id."""
+    def job_traces(self) -> "dict[str, SpanProfile]":
+        """Span trees of resolved traced jobs, by job id."""
         with self._lock:
             return dict(self._traces)
 
@@ -1534,7 +1440,7 @@ class ServingCluster:
         work), slices linked by trace id — load it in
         ``chrome://tracing`` / Perfetto.
         """
-        return write_cluster_trace(self.job_traces().values(), path)
+        return write_chrome_trace(self.job_traces().values(), path)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -1608,7 +1514,6 @@ class ServingCluster:
 __all__ = [
     "INLINE",
     "PROCESS",
-    "ClusterTicket",
     "InlineShard",
     "ProcessShard",
     "ServingCluster",

@@ -52,7 +52,13 @@ from repro.experiments.engine import execute_point
 from repro.experiments.spec import PARALLEL, SpecPoint
 from repro.faults.injector import FaultExhausted
 from repro.observability.metrics import METRICS
-from repro.observability.tracing import TraceLog, root_context
+from repro.observability.tracing import (
+    attach_phases,
+    job_span,
+    job_trace,
+    measured_counts,
+    root_context,
+)
 from repro.results import Measurement
 from repro.serving.breaker import OPEN, STATE_CODES, CircuitBreaker
 from repro.serving.budget import Budget, BudgetExceeded
@@ -176,11 +182,11 @@ class FactorizationService:
     tracing:
         When true, jobs that arrive without a trace context get one
         minted from their spec cache key and every terminal response
-        carries the job's span records.  Off by default: an untraced
-        job allocates no log and its payload is byte-identical to the
+        carries the job's span tree.  Off by default: an untraced
+        job records no span and its payload is byte-identical to the
         pre-tracing schema (the golden suite enforces this).
     name:
-        The process label stamped on span records and telemetry events
+        The process label stamped on trace spans and telemetry events
         (the cluster names each shard; standalone default "service").
     on_event:
         Optional telemetry sink called as ``on_event(kind, t, attrs)``
@@ -230,8 +236,10 @@ class FactorizationService:
             queue_capacity
         )
         self._lock = threading.Lock()
+        #: In-flight jobs' tickets; a ticket leaves at its terminal response.
         self._tickets: "dict[str, JobTicket]" = {}
-        self._trace_logs: "dict[str, TraceLog]" = {}
+        #: Traced jobs' worker-pop instants (the end of their ``queue`` span).
+        self._popped_at: "dict[str, float]" = {}
         self._breakers: "dict[str, CircuitBreaker]" = {}
         self._inflight = 0
         self._closed = False
@@ -297,44 +305,35 @@ class FactorizationService:
         """Admit (or immediately resolve) one job; returns its ticket.
 
         Accepts a :class:`Job`, a bare :class:`SpecPoint`, or a
-        point-shaped mapping.  Structurally invalid points raise
-        :class:`~repro.util.validation.ValidationError` here — before
-        any queueing — so garbage never reaches a worker.  Admission
-        sheds (queue full, shutdown) resolve the ticket immediately
-        with a structured ``shed`` response; use
-        :meth:`submit_or_raise` to get them as exceptions.
+        point-shaped mapping.  Structurally invalid points, and a job
+        whose ``job_id`` is still in flight here, raise
+        :class:`~repro.util.validation.ValidationError` — before any
+        queueing and before the job is touched — so garbage never
+        reaches a worker.  Admission sheds (queue full, shutdown)
+        resolve the ticket immediately with a structured ``shed``
+        response; use :meth:`submit_or_raise` to get them as
+        exceptions.
         """
         if isinstance(job, SpecPoint):
             job = Job(point=job)
         elif isinstance(job, Mapping):
             job = Job(point=SpecPoint.from_dict(dict(job)))
+        _validate_job_point(job.point)
+        ticket = JobTicket(job)
+        with self._lock:
+            if job.job_id in self._tickets:
+                raise ValidationError(f"{job.job_id} is already in flight")
+            self._tickets[job.job_id] = ticket
         if priority is not None:
             job.priority = int(priority)
         if budget is not None:
             job.budget = budget
-        _validate_job_point(job.point)
-        ticket = JobTicket(job)
-        with self._lock:
-            self._tickets[job.job_id] = ticket
         job.submitted_at = self._clock()
-
-        # Tracing: a job may arrive already carrying a context (the
-        # cluster front door minted it and owns the root span); with
-        # ``tracing=True`` a bare job gets one minted here, in which
-        # case this service emits the root record too.  Untraced jobs
-        # skip all of this — no log, no records, no wire change.
-        minted_root = False
+        # A job may arrive carrying a context (the cluster front door
+        # minted it and owns the root span); with ``tracing=True`` a
+        # bare job gets one here.  Untraced jobs record nothing.
         if job.trace is None and self.tracing:
             job.trace = root_context(job.point.key())
-            minted_root = True
-        if job.trace is not None:
-            with self._lock:
-                self._trace_logs[job.job_id] = TraceLog(
-                    job.trace,
-                    process=self.name,
-                    minted_root=minted_root,
-                    start=job.submitted_at,
-                )
 
         if self._closed:
             self._finish_shed(job, reason="shutdown")
@@ -445,10 +444,9 @@ class FactorizationService:
         point = job.point
         if job.trace is not None or self.on_event is not None:
             popped_at = self._clock()
-            with self._lock:
-                log = self._trace_logs.get(job.job_id)
-            if log is not None:
-                log.add("queue", popped_at, job_id=job.job_id)
+            if job.trace is not None:
+                with self._lock:
+                    self._popped_at[job.job_id] = popped_at
             self._emit(
                 "queue_wait",
                 seconds=max(0.0, popped_at - job.submitted_at),
@@ -623,29 +621,32 @@ class FactorizationService:
 
     # -- terminal transitions ----------------------------------------------
 
-    def _attach_trace(
-        self, log: TraceLog, job: Job, response: ServiceResponse
-    ) -> ServiceResponse:
-        """Record the terminal span (and root, if minted) onto ``response``.
+    def _attach_trace(self, job: Job, response: ServiceResponse) -> ServiceResponse:
+        """Put the job's span tree on its terminal ``response``.
 
-        The terminal span is the job's *work* leaf and carries the
-        measurement's simulated counter deltas; everything before it
-        (queue, admission) is zero-counter, so the leaf-sum invariant
+        The terminal stage is the job's *work* leaf and carries the
+        measurement's simulated counters; the ``queue`` stage before it
+        is zero-counter, so the leaf-sum invariant
         (:func:`repro.observability.tracing.validate_trace`) holds by
-        construction.  When the engine observed the run, the
-        measurement's span-profile tree is grafted under ``execute``,
-        splitting the same counters into per-phase leaves.
+        construction.  When the engine observed the run, its phase
+        tree splits the same counters under ``execute``.  A front door
+        that minted the job's context replaces this root with its own.
         """
         now = self._clock()
+        with self._lock:
+            popped_at = self._popped_at.pop(job.job_id, None)
+        stages = []
+        start = job.submitted_at
+        if popped_at is not None:
+            stages.append(
+                job_span("queue", start, popped_at, process=self.name,
+                         job_id=job.job_id)
+            )
+            start = popped_at
         m = response.measurement
-        counts = {
-            "words": 0 if m is None else int(m.words),
-            "messages": 0 if m is None else int(m.messages),
-            "flops": 0 if m is None else int(m.flops),
-        }
+        attrs: "dict[str, Any]" = {"attempts": response.attempts}
         if response.status == DONE:
             name = "cache" if response.detail.get("cached") else "execute"
-            extra = {}
             if name == "execute":
                 # Compile-vs-replay attribution lives on the span only
                 # (the trace key is stripped from golden comparisons);
@@ -653,51 +654,33 @@ class FactorizationService:
                 # mode is this job's.
                 from repro.schedule import last_run_mode
 
-                extra["schedule"] = last_run_mode()
+                attrs["schedule"] = last_run_mode()
             if m is not None and getattr(m, "abft", None):
                 stats = (m.abft or {}).get("stats") or {}
-                extra["abft_detected"] = int(stats.get("detected", 0))
-                extra["abft_corrected"] = int(stats.get("corrected", 0))
-                extra["abft_verified"] = bool(stats.get("verified"))
-            span = log.add(
-                name,
-                now,
-                status=DONE,
-                attempts=response.attempts,
-                **counts,
-                **extra,
-            )
-            if name == "execute" and m is not None and m.profile:
-                log.graft_profile(span, m.profile)
-        elif response.status == DEGRADED:
-            log.add(
-                "degrade",
-                now,
-                status=DEGRADED,
-                reason=response.reason,
-                attempts=response.attempts,
-                **counts,
-            )
-        elif response.status == SHED:
-            log.add("admission", now, status=SHED, reason=response.reason)
+                attrs["abft_detected"] = int(stats.get("detected", 0))
+                attrs["abft_corrected"] = int(stats.get("corrected", 0))
+                attrs["abft_verified"] = bool(stats.get("verified"))
         else:
-            log.add(
-                "failed",
-                now,
-                status=FAILED,
-                reason=response.reason,
-                attempts=response.attempts,
-            )
-        if log.minted_root:
-            log.close_root(
-                now,
-                t_start=job.submitted_at,
-                status=response.status,
-                algorithm=job.point.algorithm,
-                job_id=job.job_id,
-                **counts,
-            )
-        return dataclasses.replace(response, trace=log.records())
+            name = {DEGRADED: "degrade", SHED: "admission", FAILED: "failed"}[
+                response.status
+            ]
+            attrs["reason"] = response.reason
+            if response.status == SHED:
+                del attrs["attempts"]
+        stage = job_span(
+            name, start, now, process=self.name, status=response.status,
+            counts=measured_counts(m), **attrs,
+        )
+        if name == "execute" and m is not None:
+            stage = attach_phases(stage, m.profile)
+        stages.append(stage)
+        return dataclasses.replace(
+            response,
+            trace=job_trace(
+                job, response, stages,
+                process=self.name, t_start=job.submitted_at, t_end=now,
+            ),
+        )
 
     def _emit_terminal(self, job: Job, response: ServiceResponse) -> None:
         attrs = {"job_id": job.job_id, "algorithm": job.point.algorithm}
@@ -709,14 +692,12 @@ class FactorizationService:
             self._emit(response.status, reason=response.reason, **attrs)
 
     def _finish(self, job: Job, response: ServiceResponse) -> None:
-        with self._lock:
-            log = self._trace_logs.pop(job.job_id, None)
-        if log is not None:
-            response = self._attach_trace(log, job, response)
+        if job.trace is not None:
+            response = self._attach_trace(job, response)
         if self.on_event is not None:
             self._emit_terminal(job, response)
         with self._lock:
-            ticket = self._tickets.get(job.job_id)
+            ticket = self._tickets.pop(job.job_id, None)
             self._status_counts[response.status] = (
                 self._status_counts.get(response.status, 0) + 1
             )

@@ -158,6 +158,48 @@ class TestSalvage:
         assert len(result.measurements) == 1
         assert result.failures == []
 
+    @pytest.mark.parametrize("exc_type", ["ModelError", "ValidationError"])
+    def test_deterministic_rejection_is_not_retried(self, monkeypatch, exc_type):
+        """A point the model rejects fails on its first raise: one call,
+        no backoff sleep, and the ``<ExcName>: msg`` error text."""
+        import repro.experiments.engine as engine_mod
+        from repro.machine.core import ModelError
+        from repro.util.validation import ValidationError
+
+        exc_cls = {"ModelError": ModelError, "ValidationError": ValidationError}[
+            exc_type
+        ]
+        calls = {"n": 0}
+        sleeps = []
+
+        def rejecting(point):
+            calls["n"] += 1
+            raise exc_cls("M < 2n is outside the model")
+
+        monkeypatch.setattr(engine_mod, "execute_point", rejecting)
+        monkeypatch.setattr(engine_mod.time, "sleep", sleeps.append)
+        spec = ExperimentSpec.sequential(
+            "rejected", algorithms=["naive-up"], ns=[8], Ms=[8]
+        )
+        result = ExperimentEngine(cache=None, retries=2).run(spec)
+        assert calls["n"] == 1
+        assert sleeps == []
+        (failure,) = result.failures
+        assert failure.error == f"{exc_type}: M < 2n is outside the model"
+
+    def test_pool_rejections_are_not_retried_serially(self, monkeypatch):
+        import repro.experiments.engine as engine_mod
+
+        sleeps = []
+        monkeypatch.setattr(engine_mod.time, "sleep", sleeps.append)
+        spec = ExperimentSpec.sequential(
+            "rejected", algorithms=["naive-up"], ns=[8, 16], Ms=[8]
+        )
+        result = ExperimentEngine(cache=None, jobs=2, retries=2).run(spec)
+        assert sleeps == []
+        assert len(result.failures) == 2
+        assert all(f.error.startswith("ModelError: ") for f in result.failures)
+
 
 class TestConstructorValidation:
     def test_bad_parameters_rejected(self):

@@ -1,6 +1,4 @@
-"""The typed request/response API: wire round-trips, versioning, shims."""
-
-import warnings
+"""The typed request/response API: wire round-trips, versioning, tickets."""
 
 import pytest
 
@@ -9,7 +7,6 @@ from repro.serving.api import (
     DEGRADED,
     DONE,
     SCHEMA_VERSION,
-    Job,
     JobTicket,
     ServiceResponse,
     WireError,
@@ -171,39 +168,18 @@ def test_ticket_done_callback_fires_on_resolution_and_late_attach():
     assert seen == [("early", DONE)]
     ticket.add_done_callback(lambda r: seen.append(("late", r.status)))
     assert seen == [("early", DONE), ("late", DONE)]
-    with pytest.raises(RuntimeError, match="already resolved"):
-        ticket.resolve(ServiceResponse(job_id=job.job_id, status=DONE))
 
 
 def test_cluster_ticket_resolution_is_idempotent():
-    from repro.serving.cluster import ClusterTicket
-
+    """The front door's ticket is a JobTicket: the first response wins
+    and a duplicate (a resubmitted job answering twice) is dropped."""
     job = chol_request(n=8)
-    ticket = ClusterTicket(job)
+    ticket = JobTicket(job)
     first = ServiceResponse(job_id=job.job_id, status=DONE)
     dup = ServiceResponse(job_id=job.job_id, status=DEGRADED)
-    assert ticket.resolve_once(first)
-    assert not ticket.resolve_once(dup)  # duplicate swallowed, not raised
+    assert ticket.resolve(first)
+    assert not ticket.resolve(dup)  # duplicate swallowed, not raised
     assert ticket.result(timeout=0) == first
-
-
-# -- deprecation shim ------------------------------------------------------
-
-
-def test_jobs_module_shim_warns_and_aliases_the_api():
-    import repro.serving.jobs as jobs_shim
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert jobs_shim.Job is Job
-        assert jobs_shim.ServiceResponse is ServiceResponse
-        assert jobs_shim.job_from_dict is not None
-    assert caught
-    assert all(w.category is DeprecationWarning for w in caught)
-    assert "repro.serving.api" in str(caught[0].message)
-    assert "Job" in dir(jobs_shim)
-    with pytest.raises(AttributeError):
-        jobs_shim.not_a_thing
 
 
 # -- schema edges: legacy v1, untraced v2, journal embedding ---------------

@@ -215,6 +215,28 @@ def test_empty_ring_sheds_with_a_structured_reason(tmp_path):
         cluster.stop()
 
 
+def test_front_door_refuses_an_in_flight_job_id(tmp_path):
+    from repro.util.validation import ValidationError
+
+    cluster = ServingCluster(
+        shards=2, mode="inline", store_dir=str(tmp_path / "store")
+    )
+    try:
+        job = repeated_spec_workload(1)[0]
+        ticket = cluster.submit(job)
+        with pytest.raises(ValidationError, match="in flight"):
+            cluster.submit(job)
+        assert len(cluster.assignments) == 1
+        cluster.run_pending()
+        assert ticket.result(timeout=0).status == DONE
+        # once terminal, the id may be submitted again
+        again = cluster.submit(job)
+        cluster.run_pending()
+        assert again.result(timeout=0).status == DONE
+    finally:
+        cluster.stop()
+
+
 def test_cluster_health_snapshot_write_is_atomic_and_complete(tmp_path):
     cluster = ServingCluster(
         shards=2, mode="inline", store_dir=str(tmp_path / "store")

@@ -123,6 +123,26 @@ class TestValidation:
             with pytest.raises(ValidationError):
                 svc.submit(par_point(block=None))
 
+    def test_in_flight_job_id_rejected_and_tickets_released(self):
+        """Submitting one Job twice must not kill the worker: the
+        duplicate is refused untouched, the first run completes, later
+        jobs still run, and terminal jobs leave no ticket behind."""
+        svc = FactorizationService(workers=1, queue_capacity=4, retries=0)
+        try:
+            job = Job(point=seq_point(), priority=PRIORITY_LOW)
+            first = svc.submit(job)
+            with pytest.raises(ValidationError, match="in flight"):
+                svc.submit(job, priority=PRIORITY_HIGH)
+            assert job.priority == PRIORITY_LOW
+            third = svc.submit(seq_point(seed=1))
+            assert first.result(timeout=60).status == DONE
+            assert third.result(timeout=60).status == DONE
+            assert svc._tickets == {}
+            # a finished job's id is free again
+            assert svc.submit(job).result(timeout=60).status == DONE
+        finally:
+            svc.stop()
+
 
 class TestBudgets:
     def test_budget_words_degrades_with_bounded_prediction(self):

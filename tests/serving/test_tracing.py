@@ -26,21 +26,21 @@ from repro.serving.budget import Budget
 from repro.serving.cluster import ServingCluster
 from repro.serving.service import FactorizationService
 from repro.serving.workloads import demo_workload
+from repro.observability.export import chrome_trace_events
 from repro.observability.tracing import (
     ROOT_SPAN,
     SPAN_ID_HEX,
     TRACE_ID_HEX,
-    SpanRecord,
     TraceContext,
     TraceInvariantError,
-    TraceLog,
     canonical_trace,
-    cluster_trace_doc,
     derive_span_id,
+    job_span,
     mint_trace_id,
     root_context,
     trace_coverage,
-    trace_tree,
+    trace_from_records,
+    trace_records,
     validate_trace,
 )
 
@@ -106,76 +106,98 @@ class TestIds:
         assert TraceContext.from_dict(ctx.to_dict()) == ctx
 
 
-class TestTraceLog:
+class SteppingClock:
+    """Advances one second per reading, so every stage has width."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 1.0
+        return self.now
+
+
+def trace_of(*children, words=0, messages=0, flops=0, t_end=2.0):
+    return job_span(
+        ROOT_SPAN, 0.0, t_end, process="svc", status=DONE,
+        counts={"words": words, "messages": messages, "flops": flops},
+        children=children, trace_id=root_context("k").trace_id,
+    )
+
+
+class TestJobTrace:
     def test_stages_tile_the_window(self):
-        log = TraceLog(root_context("k"), process="svc", start=1.0)
-        a = log.add("queue", 2.0)
-        b = log.add("execute", 5.0)
-        assert (a.t_start, a.t_end) == (1.0, 2.0)
-        assert (b.t_start, b.t_end) == (2.0, 5.0)
+        with traced_service(clock=SteppingClock()) as svc:
+            response = run_one(svc, seq_point())
+        root = response.trace
+        queue, execute = root.children
+        assert (queue.name, execute.name) == ("queue", "execute")
+        assert queue.t_start == root.t_start < queue.t_end
+        assert queue.t_end == execute.t_start < execute.t_end == root.t_end
 
     def test_repeated_names_get_distinct_ids(self):
-        log = TraceLog(root_context("k"), process="svc")
-        a = log.add("retry", 1.0)
-        b = log.add("retry", 2.0)
-        assert a.span_id != b.span_id
+        trace = trace_of(
+            job_span("retry", 0.0, 1.0, process="svc"),
+            job_span("retry", 1.0, 2.0, process="svc"),
+        )
+        root, a, b = (r["span_id"] for r in trace_records(trace))
+        assert a != b
+        assert a == derive_span_id(trace.trace_id, root, "retry", 0)
+        assert b == derive_span_id(trace.trace_id, root, "retry", 1)
 
-    def test_close_root_emits_the_context_span(self):
-        ctx = root_context("k")
-        log = TraceLog(ctx, process="svc", minted_root=True)
-        log.add("execute", 1.0, words=7)
-        root = log.close_root(1.0, t_start=0.0, status=DONE, words=7)
-        assert root.span_id == ctx.span_id
-        assert root.parent_span_id is None
-        validate_trace(log.records(), {"words": 7, "messages": 0, "flops": 0})
+    def test_root_span_id_is_the_context_span(self):
+        ctx = root_context(seq_point().key())
+        with traced_service() as svc:
+            response = run_one(svc, seq_point())
+        root = trace_records(response.trace)[0]
+        assert root["name"] == ROOT_SPAN
+        assert (root["trace_id"], root["span_id"]) == (ctx.trace_id, ctx.span_id)
+        assert root["parent_span_id"] is None
+        validate_trace(response.trace, totals_of(response))
 
 
 class TestInvariants:
-    def _records(self):
-        ctx = root_context("k")
-        log = TraceLog(ctx, process="svc", minted_root=True)
-        log.add("queue", 1.0)
-        log.add("execute", 2.0, words=10, messages=2, flops=5)
-        log.close_root(2.0, t_start=0.0, status=DONE, words=10, messages=2,
-                       flops=5)
-        return log.records()
+    def _trace(self):
+        return trace_of(
+            job_span("queue", 0.0, 1.0, process="svc"),
+            job_span("execute", 1.0, 2.0, process="svc", status=DONE,
+                     counts={"words": 10, "messages": 2, "flops": 5}),
+            words=10, messages=2, flops=5,
+        )
 
     def test_tree_and_leaf_sums(self):
-        records = self._records()
-        root, children = trace_tree(records)
+        root = trace_from_records(trace_records(self._trace()))
+        assert root == self._trace()
         assert root.name == ROOT_SPAN
-        assert len(children[root.span_id]) == 2
+        assert len(root.children) == 2
         sums = validate_trace(
-            records, {"words": 10, "messages": 2, "flops": 5}
+            root, {"words": 10, "messages": 2, "flops": 5}
         )
         assert sums == {"words": 10, "messages": 2, "flops": 5}
 
     def test_total_mismatch_raises(self):
         with pytest.raises(TraceInvariantError):
-            validate_trace(self._records(), {"words": 11, "messages": 2,
-                                             "flops": 5})
+            validate_trace(self._trace(), {"words": 11, "messages": 2,
+                                           "flops": 5})
 
     def test_empty_and_orphan_rejected(self):
         with pytest.raises(TraceInvariantError):
-            trace_tree([])
-        orphan = SpanRecord(
-            trace_id="t" * 32, span_id="a" * 16, parent_span_id="b" * 16,
-            name="queue", process="svc",
-        )
+            trace_from_records([])
+        records = trace_records(self._trace())
+        orphan = dict(records[1], parent_span_id="b" * 16)
         with pytest.raises(TraceInvariantError):
-            trace_tree([orphan])
+            trace_from_records([records[0], orphan, records[2]])
 
     def test_coverage_of_tiled_spans_is_total(self):
-        records = self._records()
-        assert trace_coverage(records) == 1.0
+        assert trace_coverage(self._trace()) == 1.0
 
     def test_coverage_flags_gaps(self):
-        ctx = root_context("k")
-        log = TraceLog(ctx, process="svc", minted_root=True)
-        log.add("queue", 1.0, t_start=0.0)
-        log.add("execute", 10.0, t_start=9.0)  # 8s unaccounted
-        log.close_root(10.0, t_start=0.0, status=DONE)
-        assert trace_coverage(log.records()) == pytest.approx(0.2)
+        trace = trace_of(
+            job_span("queue", 0.0, 1.0, process="svc"),
+            job_span("execute", 9.0, 10.0, process="svc"),  # 8s unaccounted
+            t_end=10.0,
+        )
+        assert trace_coverage(trace) == pytest.approx(0.2)
 
 
 class TestServiceTracing:
@@ -184,8 +206,7 @@ class TestServiceTracing:
             response = run_one(svc, seq_point())
         assert response.trace is not None
         validate_trace(response.trace, totals_of(response))
-        root, _ = trace_tree(response.trace)
-        assert root.status == DONE
+        assert response.trace.status == DONE
         names = {r.name for r in response.trace}
         assert {"job", "queue", "execute"} <= names
         assert trace_coverage(response.trace) >= 0.99
@@ -195,9 +216,20 @@ class TestServiceTracing:
             response = run_one(svc, seq_point(observe=True))
         assert response.measurement.profile is not None
         # the engine's in-process phase spans hang off the execute span
-        names = {r.name for r in response.trace}
-        assert len(names) > 3
+        (execute,) = [s for s in response.trace if s.name == "execute"]
+        (phases,) = execute.children
+        assert len({s.name for s in phases}) > 1
+        assert {s.process for s in phases} == {"service"}
         validate_trace(response.trace, totals_of(response))
+
+    def test_unreconciled_profile_is_left_out(self):
+        from repro.observability.tracing import attach_phases
+
+        execute = job_span("execute", 1.0, 2.0, process="svc",
+                           counts={"words": 10, "messages": 2, "flops": 5})
+        profile = job_span("run", 0.0, 0.5, process="", counts={"words": 9})
+        assert attach_phases(execute, profile.to_dict()) is execute
+        assert attach_phases(execute, None) is execute
 
     def test_cache_hit_records_cache_span(self, tmp_path):
         from repro.experiments.cache import ResultCache
@@ -260,6 +292,27 @@ class TestWireSchema:
         assert back.trace == response.trace
         validate_trace(back.trace, totals_of(back))
 
+    def test_response_trace_records_keep_their_keys(self):
+        with traced_service() as svc:
+            response = run_one(svc, seq_point(observe=True))
+        records = response.to_wire()["trace"]
+        assert {tuple(r) for r in records} == {(
+            "trace_id", "span_id", "parent_span_id", "name", "process",
+            "t_start", "t_end", "status", "words", "messages", "flops",
+            "attrs",
+        )}
+        assert len({r["span_id"] for r in records}) == len(records)
+        assert len(records) == sum(1 for _ in response.trace)
+
+    def test_broken_trace_is_a_wire_error(self):
+        from repro.serving.api import WireError
+
+        with traced_service() as svc:
+            wire = run_one(svc, seq_point()).to_wire()
+        wire["trace"] = wire["trace"][1:]  # drop the root
+        with pytest.raises(WireError, match="root"):
+            response_from_wire(wire)
+
 
 class TestClusterDeterminism:
     def _run(self, shards, count=10):
@@ -290,14 +343,12 @@ class TestClusterDeterminism:
     def test_every_trace_reconciles_and_has_frontdoor_root(self):
         for response in self._run(3):
             validate_trace(response.trace, totals_of(response))
-            root, _ = trace_tree(response.trace)
-            assert root.process == "frontdoor"
+            assert response.trace.process == "frontdoor"
             assert "route" in {r.name for r in response.trace}
 
     def test_chrome_doc_links_tracks_by_trace_id(self):
         responses = self._run(3, count=6)
-        doc = cluster_trace_doc([r.trace for r in responses])
-        events = doc["traceEvents"]
+        events = chrome_trace_events([r.trace for r in responses])
         tracks = {
             e["args"]["name"] for e in events if e["name"] == "thread_name"
         }
@@ -305,8 +356,11 @@ class TestClusterDeterminism:
         assert any(t.startswith("shard-") for t in tracks)
         slices = [e for e in events if e["ph"] == "X"]
         assert {e["args"]["trace_id"] for e in slices} == {
-            r.trace[0].trace_id for r in responses
+            r.trace.trace_id for r in responses
         }
+        for ev in events:
+            for key in ("ph", "ts", "pid", "tid", "name"):
+                assert key in ev
 
 
 @pytest.mark.slow
@@ -315,17 +369,23 @@ class TestProcessModeTracing:
         cluster = ServingCluster(
             shards=2, mode="process", tracing=True, workers_per_shard=2
         )
+        jobs = demo_workload(6) + [Job(point=seq_point(n=64, M=192, observe=True))]
         try:
-            tickets = [cluster.submit(j) for j in demo_workload(6)]
+            tickets = [cluster.submit(j) for j in jobs]
             responses = [t.result(timeout=120) for t in tickets]
         finally:
             cluster.stop()
         for response in responses:
             assert response.status == DONE
             validate_trace(response.trace, totals_of(response))
-            root, _ = trace_tree(response.trace)
-            assert root.duration > 0.0
+            assert response.trace.duration > 0.0
             assert trace_coverage(response.trace) >= 0.99
             processes = {r.process for r in response.trace}
             assert "frontdoor" in processes
             assert any(p.startswith("shard-") for p in processes)
+        # re-based onto the front door's clock, the observed run's
+        # phases still sit inside its execute span
+        (execute,) = [s for s in responses[-1].trace if s.name == "execute"]
+        (phases,) = execute.children
+        for span in phases:
+            assert execute.t_start <= span.t_start <= span.t_end <= execute.t_end
