@@ -1,4 +1,7 @@
-"""The checksum guardian: ABFT protection for sequential runs.
+"""The attempt ladder and the checksum guardian.
+
+:class:`AbftLadder` is the one retry ladder of every protected run:
+``run_algorithm``, ``pxpotrf`` and ``summa`` all retry through it.
 
 One :class:`ChecksumGuardian` is armed on the machine
 (``machine.abft``) for the duration of one protected ``run_algorithm``
@@ -20,8 +23,7 @@ boundaries*:
    syndrome pair and corrected bit-identically in place; a double
    fault in one tile raises
    :class:`~repro.abft.SilentCorruptionError`, which the registry
-   escalates to its retry ladder (snapshot restore + attempt-salted
-   re-run).
+   escalates to the ladder (snapshot restore + attempt-salted re-run).
 
 Because injection happens *only* at boundaries and every boundary
 verifies immediately, no corruption ever flows into a compute phase —
@@ -52,6 +54,7 @@ import numpy as np
 from repro.abft.checksums import (
     SilentCorruptionError,
     block_checksums,
+    factor_attestation,
     flip_bit,
     verify_block,
 )
@@ -161,9 +164,11 @@ class AbftStats:
     """The ``abft`` counter group of one protected run.
 
     ``checksum_*`` is the overhead the protection itself charged
-    through the machine/network chokepoints; the injection/detection
-    counters describe the realized silent-fault schedule and what the
-    syndromes did about it.
+    through the machine/network chokepoints during the attempt the
+    run's counters report (the ladder zeroes it when an attempt
+    starts); the injection/detection, ``boundaries`` and ``attempts``
+    counters span the whole ladder and describe the realized
+    silent-fault schedule and what the syndromes did about it.
     """
 
     injected_single: int = 0
@@ -196,8 +201,8 @@ class SilentInjector:
     Every decision hashes ``(seed, kind, attempt, identity)`` through
     :func:`~repro.faults.plan.fault_unit` — content-independent, so
     schedules are byte-identical across runs, processes, and
-    ``jobs=1`` vs ``jobs=N``.  The ``attempt`` salt is what makes the
-    registry's double-fault retry ladder terminate: a re-run after an
+    ``jobs=1`` vs ``jobs=N``.  The ``attempt`` salt is what makes
+    :class:`AbftLadder` terminate: a re-run after an
     uncorrectable fault draws a *different* (deterministic) schedule
     instead of replaying the same catastrophe forever.
     """
@@ -264,28 +269,78 @@ class SilentInjector:
         return self._strikes(("payload",) + tuple(key), h, w, max(h, w))
 
 
-class ChecksumGuardian:
-    """Tile checksums + checkpoint boundaries for one protected run."""
+class AbftLadder:
+    """The attempt ladder of one protected run: the config, the resolved
+    silent plan, the shared :class:`AbftStats` and the attempt number.
 
-    def __init__(
-        self,
-        matrix,
-        config: AbftConfig,
-        plan: "FaultPlan | None" = None,
-        *,
-        attempt: int = 0,
-        stats: "AbftStats | None" = None,
-    ) -> None:
+    ``plan`` is the run's own fault plan; a plan carried on the config
+    wins (a silent-only plan arms neither machine nor transport, so
+    the config is how it reaches the ladder).  Each attempt calls
+    :meth:`start` on a reset machine or a fresh network, which zeroes
+    the ``checksum_*`` overhead so the group describes the attempt the
+    counters report; every other counter spans the whole ladder.
+    """
+
+    def __init__(self, config: AbftConfig, plan: "FaultPlan | None" = None) -> None:
+        self.config = config
+        self.plan = config.plan or plan
+        self.stats = AbftStats()
+        self.attempt = 0
+
+    @classmethod
+    def coerce(
+        cls, abft: "AbftConfig | Mapping | bool | None", plan: "FaultPlan | None" = None
+    ) -> "AbftLadder | None":
+        """A ladder for the user-facing ``abft=`` argument, ``None`` when off."""
+        config = AbftConfig.coerce(abft)
+        return None if config is None else cls(config, plan)
+
+    def start(self) -> SilentInjector:
+        """Open the current attempt; returns its attempt-salted injector."""
+        stats = self.stats
+        stats.attempts = self.attempt + 1
+        stats.checksum_words = stats.checksum_messages = stats.checksum_flops = 0
+        return SilentInjector(self.plan, self.attempt)
+
+    def retry(self, exc: SilentCorruptionError) -> None:
+        """Move past a double fault, or re-raise it once attempts are spent."""
+        self.attempt += 1
+        if self.attempt >= self.config.max_attempts:
+            raise exc
+
+    def run(self, once):
+        """Call ``once()``, one attempt on fresh state, until an attempt
+        finishes without a double fault."""
+        while True:
+            try:
+                return once()
+            except SilentCorruptionError as exc:
+                self.retry(exc)
+
+    def record(self, factor) -> dict:
+        """The result's ``abft`` group: config, stats, factor attestation."""
+        self.stats.verified = True
+        return {
+            "config": self.config.to_dict(),
+            "stats": self.stats.to_dict(),
+            "attestation": factor_attestation(factor),
+        }
+
+
+class ChecksumGuardian:
+    """Tile checksums + checkpoint boundaries for one protected attempt.
+
+    Constructing it on the (reset) machine opens the ladder's attempt.
+    """
+
+    def __init__(self, matrix, ladder: AbftLadder) -> None:
         self.matrix = matrix
         self.machine = matrix.machine
-        self.config = config
-        self.stats = stats if stats is not None else AbftStats()
-        self.injector = SilentInjector(
-            plan if plan is not None else config.plan, attempt
-        )
+        self.stats = ladder.stats
+        self.injector = ladder.start()
         n = int(matrix.layout.n)
         self.n = n
-        self.t = config.block or default_tile(self.machine.M, n)
+        self.t = ladder.config.block or default_tile(self.machine.M, n)
         self.nt = -(-n // self.t)
         # one (rows, cols) checksum pair per tile; edge tiles use a prefix
         self._rows = np.zeros((self.nt, self.nt, self.t), dtype=np.uint64)
@@ -422,11 +477,11 @@ class ChecksumGuardian:
         """Disarm: commit the final state, verify end-to-end."""
         self.commit(0, self.n, 0, self.n)
         self.checkpoint()
-        self.stats.verified = True
 
 
 __all__ = [
     "AbftConfig",
+    "AbftLadder",
     "AbftStats",
     "ChecksumGuardian",
     "SilentInjector",

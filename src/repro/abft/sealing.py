@@ -1,8 +1,8 @@
 """Checksum-sealed message payloads for the parallel drivers.
 
 SUMMA and pxpotrf move blocks between ranks as raw arrays; the
-reliable transport (PR 3) catches *detected* corruption — its own
-seeded ``corrupt`` draws perturb a payload and the stop-and-wait layer
+reliable transport catches *detected* corruption — its own seeded
+``corrupt`` draws perturb a payload and the stop-and-wait layer
 retries — but a silent flip that bypasses that path would be computed
 on as if it were data.  A :class:`SealedBlock` closes the gap: the
 sender attaches the block's exact bit-checksums
@@ -10,10 +10,14 @@ sender attaches the block's exact bit-checksums
 on open, corrects a single flipped element from the syndrome pair, and
 escalates doubles as :class:`~repro.abft.SilentCorruptionError`.
 
-The extra ``h + w`` checksum words ride the same broadcast the block
-does (the drivers add them to the charged message volume), and the
-receiver-side re-summing flops go through the network's per-rank
-compute clock — lower-order against the ``h·w`` payload itself.
+Both drivers reach every broadcast payload through one
+:class:`Channel` per attempt: it seals, sizes, opens and clears, and
+when the run is unprotected it passes raw arrays with zero checksum
+words, so one driver body serves both modes.  The extra ``h + w``
+checksum words ride the same broadcast the block does, and the
+sender's summing and receiver's re-summing flops go through the
+network's per-rank compute clock — lower-order against the ``h·w``
+payload itself.
 
 Silent payload strikes are injected at *open* time, keyed by the
 message's logical identity (broadcast key + receiving rank), never by
@@ -29,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.abft.checksums import block_checksums, flip_bit, verify_block
-from repro.abft.guardian import AbftStats, SilentInjector
+from repro.abft.guardian import AbftLadder, AbftStats, SilentInjector
 
 
 class SealedBlock:
@@ -44,6 +48,11 @@ class SealedBlock:
     @property
     def shape(self) -> "tuple[int, int]":
         return self.data.shape
+
+    @property
+    def size(self) -> int:
+        """Payload words (the checksums are :attr:`overhead_words`)."""
+        return self.data.size
 
     @property
     def overhead_words(self) -> int:
@@ -122,4 +131,71 @@ def open_sealed(
     return data
 
 
-__all__ = ["SealedBlock", "open_sealed", "seal"]
+class Channel:
+    """The broadcast payloads of one parallel attempt.
+
+    Built on the attempt's fresh network with the run's
+    :class:`~repro.abft.AbftLadder`, which it starts; with
+    ``ladder=None`` every method passes raw arrays through and no
+    checksum word or flop is charged.
+    """
+
+    def __init__(self, network, ladder: "AbftLadder | None" = None) -> None:
+        self.network = network
+        self.ladder = ladder
+        self.injector = None if ladder is None else ladder.start()
+        self._opened: dict = {}
+
+    def seal(self, rank: int, data: np.ndarray):
+        """Seal one outgoing block, charging the summing flops to ``rank``."""
+        if self.ladder is None:
+            return data
+        sealed = SealedBlock(data)
+        h, w = sealed.shape
+        self.network.compute(rank, 2 * h * w)
+        self.ladder.stats.checksum_flops += 2 * h * w
+        return sealed
+
+    def overhead(self, payload) -> int:
+        """Checksum words riding with one payload."""
+        return 0 if self.ladder is None else payload.overhead_words
+
+    def size(self, payloads) -> int:
+        """Words a broadcast of ``payloads`` charges, checksums included."""
+        return sum(p.size + self.overhead(p) for p in payloads)
+
+    def received(self, rank: int, key: tuple):
+        """What ``rank`` received under ``key``, still sealed (to forward)."""
+        return self.network.processors[rank].inbox[key]
+
+    def open(self, rank: int, key: tuple, idx: "int | None" = None) -> np.ndarray:
+        """The verified block ``rank`` received under ``key`` (item ``idx``).
+
+        Memoized per round, so a rank that uses one received block in
+        several updates pays its ``2·h·w`` re-summing flops once.
+        """
+        payload = self.network.processors[rank].inbox[key]
+        if idx is not None:
+            payload = payload[idx]
+        if self.ladder is None:
+            return payload
+        memo = (rank, key, idx)
+        data = self._opened.get(memo)
+        if data is None:
+            ident = key + ((idx,) if idx is not None else ()) + (rank,)
+            data = open_sealed(
+                payload, injector=self.injector, stats=self.ladder.stats,
+                key=ident,
+            )
+            h, w = data.shape
+            self.network.compute(rank, 2 * h * w)
+            self._opened[memo] = data
+        return data
+
+    def clear(self) -> None:
+        """End a round: drop every inbox and the open memo."""
+        self.network.clear_inboxes()
+        self._opened.clear()
+
+
+__all__ = ["Channel", "SealedBlock", "open_sealed", "seal"]

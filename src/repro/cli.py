@@ -392,7 +392,9 @@ def chaos_main(argv: "list[str]") -> int:
     bit-identical to the clean run — the acceptance check for the
     recovery protocol — and prints the realized fault schedule plus
     the overhead (resent/checkpoint/recovery words and messages) the
-    resilience machinery charged.
+    resilience machinery charged.  A run that fails outright (an
+    exhausted ABFT ladder, a transport that gives up) prints one
+    ``[chaos] FAIL: <ExcName>: <msg>`` line to stderr and exits 1.
     """
     from repro.abft import AbftConfig
     from repro.faults import FaultPlan
@@ -524,56 +526,62 @@ def chaos_main(argv: "list[str]") -> int:
         abft_clean_cfg.with_plan(plan) if abft_clean_cfg is not None else None
     )
 
-    a0 = random_spd(args.n, seed=args.seed)
-    if args.target == "chol":
-        if plan.failstops or plan.slow_links or plan.drop or plan.duplicate \
-                or plan.corrupt:
-            if not plan.read_fault:
-                parser.error("chol injects read faults; use --read-fault")
-        algorithm = normalize_algorithm(args.algorithm)
-        M = args.M if args.M is not None else 3 * args.n
+    try:
+        a0 = random_spd(args.n, seed=args.seed)
+        if args.target == "chol":
+            if plan.failstops or plan.slow_links or plan.drop or plan.duplicate \
+                    or plan.corrupt:
+                if not plan.read_fault:
+                    parser.error("chol injects read faults; use --read-fault")
+            algorithm = normalize_algorithm(args.algorithm)
+            M = args.M if args.M is not None else 3 * args.n
 
-        def run(with_faults: bool):
-            machine = SequentialMachine(M)
-            machine.attach_faults(plan if with_faults else None)
-            A = TrackedMatrix(a0, make_layout("column-major", args.n), machine)
-            L = _run_algorithm(
-                algorithm, A, abft=abft_cfg if with_faults else abft_clean_cfg
-            )
-            stats = machine.faults.stats if machine.faults else None
-            return L.L, L.measurement, stats, getattr(L, "abft", None)
+            def run(with_faults: bool):
+                machine = SequentialMachine(M)
+                machine.attach_faults(plan if with_faults else None)
+                A = TrackedMatrix(a0, make_layout("column-major", args.n), machine)
+                L = _run_algorithm(
+                    algorithm, A, abft=abft_cfg if with_faults else abft_clean_cfg
+                )
+                stats = machine.faults.stats if machine.faults else None
+                return L.L, L.measurement, stats, getattr(L, "abft", None)
 
-        clean_x, clean_m, _, _ = run(False)
-        faulty_x, faulty_m, stats, abft_rec = run(True)
-        if stats is not None:
-            publish_faults(stats)
-        overhead_words = faulty_m.words - clean_m.words
-        overhead_msgs = faulty_m.messages - clean_m.messages
-    else:
-        root = math.isqrt(args.P)
-        if root * root != args.P:
-            parser.error(f"--P must be a perfect square, got {args.P}")
-        block = args.block if args.block is not None else max(1, args.n // root)
-        if args.target == "pxpotrf":
-            def factor(faults, abft=None):
-                return pxpotrf(a0, block, args.P, faults=faults, abft=abft)
-            clean_r = factor(None, abft=abft_clean_cfg)
-            faulty_r = factor(plan, abft=abft_cfg)
-            clean_x, faulty_x = clean_r.L, faulty_r.L
+            clean_x, clean_m, _, _ = run(False)
+            faulty_x, faulty_m, stats, abft_rec = run(True)
+            if stats is not None:
+                publish_faults(stats)
+            overhead_words = faulty_m.words - clean_m.words
+            overhead_msgs = faulty_m.messages - clean_m.messages
         else:
-            rng = np.random.default_rng(args.seed + 1)
-            b0 = rng.standard_normal((args.n, args.n))
-            clean_r = summa(a0, b0, block, args.P, abft=abft_clean_cfg)
-            faulty_r = summa(
-                a0, b0, block, args.P, faults=plan, abft=abft_cfg
-            )
-            clean_x, faulty_x = clean_r.C, faulty_r.C
-        stats = faulty_r.fault_stats
-        abft_rec = faulty_r.abft
-        if stats is not None:
-            publish_faults(stats)
-        overhead_words = faulty_r.critical_words - clean_r.critical_words
-        overhead_msgs = faulty_r.critical_messages - clean_r.critical_messages
+            root = math.isqrt(args.P)
+            if root * root != args.P:
+                parser.error(f"--P must be a perfect square, got {args.P}")
+            block = args.block if args.block is not None else max(1, args.n // root)
+            if args.target == "pxpotrf":
+                def factor(faults, abft=None):
+                    return pxpotrf(a0, block, args.P, faults=faults, abft=abft)
+                clean_r = factor(None, abft=abft_clean_cfg)
+                faulty_r = factor(plan, abft=abft_cfg)
+                clean_x, faulty_x = clean_r.L, faulty_r.L
+            else:
+                rng = np.random.default_rng(args.seed + 1)
+                b0 = rng.standard_normal((args.n, args.n))
+                clean_r = summa(a0, b0, block, args.P, abft=abft_clean_cfg)
+                faulty_r = summa(
+                    a0, b0, block, args.P, faults=plan, abft=abft_cfg
+                )
+                clean_x, faulty_x = clean_r.C, faulty_r.C
+            stats = faulty_r.fault_stats
+            abft_rec = faulty_r.abft
+            if stats is not None:
+                publish_faults(stats)
+            overhead_words = faulty_r.critical_words - clean_r.critical_words
+            overhead_msgs = faulty_r.critical_messages - clean_r.critical_messages
+    except Exception as exc:  # noqa: BLE001 - CLI boundary
+        # an exhausted ABFT ladder or a transport that gives up is a
+        # failed run: one stable line and exit 1, not a traceback
+        print(f"[chaos] FAIL: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
     diff = float(np.max(np.abs(faulty_x - clean_x)))
     d = stats.to_dict() if stats is not None else {}

@@ -43,12 +43,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from repro.abft import AbftConfig, SilentCorruptionError, factor_attestation
-from repro.abft.guardian import AbftStats, SilentInjector
-from repro.abft.sealing import open_sealed, seal
+from repro.abft import AbftConfig, AbftLadder, Channel
 from repro.faults.injector import FaultInjector, FaultStats
 from repro.faults.plan import FaultPlan
 from repro.observability.spans import SpanProfile, observe
@@ -187,6 +186,27 @@ def _checkpoint(
     stats.checkpoint_messages += 1
 
 
+def _checkpointing(
+    checkpoint: "bool | None", injector: "FaultInjector | None", P: int
+) -> bool:
+    """Whether a pxpotrf/SUMMA run buddy-checkpoints its rounds.
+
+    By default exactly when the plan schedules fail-stops; forcing it
+    off under fail-stops, or on with fewer than 2 processors, is an
+    error.
+    """
+    failstops = injector is not None and bool(injector.plan.failstops)
+    on = failstops if checkpoint is None else bool(checkpoint)
+    if failstops and not on:
+        raise ValidationError(
+            "fault plan schedules fail-stops but checkpointing is disabled; "
+            "a failed rank could never be recovered"
+        )
+    if on and P < 2:
+        raise ValidationError("buddy checkpointing needs at least 2 processors")
+    return on
+
+
 def _recover(network: Network, rank: int, stats: FaultStats) -> None:
     """Rebuild a fail-stopped rank from its buddy's checkpoint.
 
@@ -236,58 +256,6 @@ def pxpotrf(
 ) -> ParallelRunResult:
     """Run Algorithm 9 on a fresh simulated network.
 
-    With ``abft`` set (an :class:`~repro.abft.AbftConfig`, a config
-    dict, or ``True``), every broadcast payload travels checksum-sealed
-    (:mod:`repro.abft.sealing`): receivers verify on open, correct a
-    single silently flipped element in place, and escalate double
-    faults by rebuilding the network and re-running under an
-    attempt-salted fault schedule (``max_attempts`` bound).  Checksum
-    words ride the same broadcasts and receiver re-summing flops go
-    through the per-rank compute clock; the result's ``abft`` record
-    carries the counter group and a factor attestation digest.
-    """
-    cfg = AbftConfig.coerce(abft)
-    if cfg is None:
-        return _pxpotrf_once(
-            a, block, grid, alpha=alpha, beta=beta, gamma=gamma,
-            observe_spans=observe_spans, faults=faults,
-            checkpoint=checkpoint, guard=guard,
-        )
-    abft_stats = AbftStats()
-    attempt = 0
-    while True:
-        abft_stats.attempts = attempt + 1
-        try:
-            return _pxpotrf_once(
-                a, block, grid, alpha=alpha, beta=beta, gamma=gamma,
-                observe_spans=observe_spans, faults=faults,
-                checkpoint=checkpoint, guard=guard,
-                abft_cfg=cfg, abft_stats=abft_stats, abft_attempt=attempt,
-            )
-        except SilentCorruptionError:
-            attempt += 1
-            if attempt >= cfg.max_attempts:
-                raise
-
-
-def _pxpotrf_once(
-    a: np.ndarray,
-    block: int,
-    grid: ProcessorGrid | int,
-    *,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-    gamma: float = 0.0,
-    observe_spans: bool = False,
-    faults: "FaultPlan | None" = None,
-    checkpoint: bool | None = None,
-    guard=None,
-    abft_cfg: "AbftConfig | None" = None,
-    abft_stats: "AbftStats | None" = None,
-    abft_attempt: int = 0,
-) -> ParallelRunResult:
-    """One attempt of Algorithm 9 on a fresh simulated network.
-
     Parameters
     ----------
     a:
@@ -321,11 +289,37 @@ def _pxpotrf_once(
         run aborts with
         :class:`~repro.serving.budget.BudgetExceeded` when a cap is
         crossed.  ``None`` keeps the unmetered fast path.
+    abft:
+        Checksum protection (an :class:`~repro.abft.AbftConfig`, a
+        config dict, or ``True``): every broadcast payload travels
+        checksum-sealed through the attempt's
+        :class:`~repro.abft.Channel`; receivers verify on open,
+        correct a single silently flipped element in place, and a
+        double fault moves the :class:`~repro.abft.AbftLadder` to a
+        fresh network under an attempt-salted schedule
+        (``max_attempts`` bound).  Checksum words ride the same
+        broadcasts and summing flops go through the per-rank compute
+        clocks; the result's ``abft`` record carries the counter group
+        and a factor attestation digest.
 
     Returns a :class:`ParallelRunResult` whose ``L`` satisfies
     ``L·Lᵀ = a`` — under fail-stop faults too (checkpoint recovery
     reconstructs lost state exactly).
     """
+    ladder = AbftLadder.coerce(abft, faults)
+    attempt = partial(
+        _pxpotrf_once, a, block, grid, alpha=alpha, beta=beta, gamma=gamma,
+        observe_spans=observe_spans, faults=faults, checkpoint=checkpoint,
+        guard=guard, ladder=ladder,
+    )
+    return attempt() if ladder is None else ladder.run(attempt)
+
+
+def _pxpotrf_once(
+    a, block, grid, *, alpha, beta, gamma, observe_spans, faults, checkpoint,
+    guard, ladder: "AbftLadder | None",
+) -> ParallelRunResult:
+    """One attempt of :func:`pxpotrf` on a fresh simulated network."""
     if isinstance(grid, int):
         grid = ProcessorGrid.square(grid)
     check_positive_int("block", block)
@@ -333,70 +327,16 @@ def _pxpotrf_once(
     network = Network(grid.size, alpha=alpha, beta=beta, gamma=gamma)
     injector = network.attach_faults(faults)
     network.attach_guard(guard)
-    ckpt_on = (
-        bool(checkpoint)
-        if checkpoint is not None
-        else bool(injector is not None and injector.plan.failstops)
-    )
-    if injector is not None and injector.plan.failstops and not ckpt_on:
-        raise ValidationError(
-            "fault plan schedules fail-stops but checkpointing is disabled; "
-            "a failed rank could never be recovered"
-        )
-    if ckpt_on and grid.size < 2:
-        raise ValidationError("buddy checkpointing needs at least 2 processors")
+    ckpt_on = _checkpointing(checkpoint, injector, grid.size)
     stats = injector.stats if injector is not None else FaultStats()
     recorder = observe(network, name="pxpotrf") if observe_spans else None
     prof = network.profiler
     dist = BlockCyclicMatrix(a, block, grid, network)
     nb = dist.nblocks
-
-    # -- ABFT: sealed broadcast channel -------------------------------
-    # Every broadcast payload travels as a SealedBlock (data + exact
-    # uint64 row/column checksums).  Receivers open-and-verify before
-    # *using* a block, so a silently flipped payload element either
-    # heals in place (single fault) or raises SilentCorruptionError
-    # before it can contaminate any trailing update.  Strike decisions
-    # hash the logical message identity plus the receiving rank — never
-    # the content or delivery order — so schedules are byte-identical
-    # across runs and worker counts.
-    ab_armed = abft_cfg is not None
-    ab_injector = (
-        SilentInjector(abft_cfg.plan or faults, abft_attempt)
-        if ab_armed
-        else None
-    )
-    opened: dict = {}
-
-    def seal_block(rank: int, data: np.ndarray):
-        """Seal one payload, charging the summing flops to the sender."""
-        sealed = seal(data)
-        h, ww = sealed.shape
-        network.compute(rank, 2 * h * ww)
-        abft_stats.checksum_flops += 2 * h * ww
-        return sealed
-
-    def open_block(rank: int, key: tuple, idx: "int | None" = None):
-        """Verify-and-open a sealed inbox payload, once per receiver.
-
-        The memo means a rank that uses the same received block in
-        several trailing updates pays the 2·h·w verification flops
-        (charged to its compute clock) exactly once per round.
-        """
-        memo = (rank, key, idx)
-        if memo in opened:
-            return opened[memo]
-        sealed = network[rank].inbox[key]
-        if idx is not None:
-            sealed = sealed[idx]
-        ident = key + ((idx,) if idx is not None else ()) + (rank,)
-        data = open_sealed(
-            sealed, injector=ab_injector, stats=abft_stats, key=ident
-        )
-        h, ww = data.shape
-        network.compute(rank, 2 * h * ww)
-        opened[memo] = data
-        return data
+    # Every broadcast payload goes through the channel: sealed with its
+    # exact checksums when protected, so a receiver heals a silently
+    # flipped element (or raises) before the block reaches any update.
+    channel = Channel(network, ladder)
 
     if ckpt_on:
         # round "-1" checkpoint: every rank's initial blocks, so a rank
@@ -437,24 +377,14 @@ def _pxpotrf_once(
 
             # -- 2. broadcast the factor down the owning grid column -------
             with prof.span("bcast-diag"):
-                if ab_armed:
-                    # checksum words (2·w) ride the same broadcast and
-                    # are charged through the same network chokepoint
-                    network.broadcast(
-                        diag_owner,
-                        grid.col_group(jc),
-                        words=w * (w + 1) // 2 + 2 * w,
-                        payload=seal_block(diag_owner, ljj),
-                        key=("diag", J),
-                    )
-                else:
-                    network.broadcast(
-                        diag_owner,
-                        grid.col_group(jc),
-                        words=w * (w + 1) // 2,
-                        payload=ljj,
-                        key=("diag", J),
-                    )
+                payload = channel.seal(diag_owner, ljj)
+                network.broadcast(
+                    diag_owner,
+                    grid.col_group(jc),
+                    words=w * (w + 1) // 2 + channel.overhead(payload),
+                    payload=payload,
+                    key=("diag", J),
+                )
 
             # -- 3. panel solves + bundled row broadcasts --------------------
             with prof.span("panel-solve"):
@@ -463,10 +393,7 @@ def _pxpotrf_once(
                     panel_by_owner[dist.owner(I, J)].append(I)
                 for rank, rows in sorted(panel_by_owner.items()):
                     proc = network[rank]
-                    if ab_armed:
-                        ljj_local = open_block(rank, ("diag", J))
-                    else:
-                        ljj_local = proc.inbox[("diag", J)]
+                    ljj_local = channel.open(rank, ("diag", J))
                     bundle: dict = {}
                     for I in rows:
                         lij = solve_lower_transposed_right(
@@ -474,22 +401,13 @@ def _pxpotrf_once(
                         )
                         proc.store[("A", I, J)] = lij
                         network.compute(rank, trsm_flops(dist.block_dim(I), w))
-                        bundle[I] = (
-                            seal_block(rank, lij) if ab_armed else lij
-                        )
+                        bundle[I] = channel.seal(rank, lij)
                         dirty[rank].add(("A", I, J))
                     r = grid.position(rank)[0]
-                    if ab_armed:
-                        bwords = sum(
-                            v.data.size + v.overhead_words
-                            for v in bundle.values()
-                        )
-                    else:
-                        bwords = sum(v.size for v in bundle.values())
                     network.broadcast(
                         rank,
                         grid.row_group(r),
-                        words=bwords,
+                        words=channel.size(bundle.values()),
                         payload=bundle,
                         key=("panelrow", J, r),
                     )
@@ -500,27 +418,18 @@ def _pxpotrf_once(
                 for l in range(J + 1, nb):
                     diag_by_owner[dist.owner(l, l)].append(l)
                 for rank, diags in sorted(diag_by_owner.items()):
-                    proc = network[rank]
                     r, c = grid.position(rank)
-                    row_bundle = proc.inbox[("panelrow", J, r)]
-                    # when sealed, forward the SealedBlocks verbatim —
-                    # this rank never *uses* the values, so it need not
-                    # (and must not) open them: the checksum envelope
+                    # forward the received payloads unopened: this rank
+                    # never *uses* the values, and a sealed envelope
                     # keeps protecting the payload through the re-hop
+                    row_bundle = channel.received(rank, ("panelrow", J, r))
                     col_bundle = {l: row_bundle[l] for l in diags}
-                    if ab_armed:
-                        cwords = sum(
-                            v.data.size + v.overhead_words
-                            for v in col_bundle.values()
-                        )
-                    else:
-                        cwords = sum(v.size for v in col_bundle.values())
                     # key includes the source grid row: on non-square grids a
                     # column hosts several diagonal owners (one per grid row)
                     network.broadcast(
                         rank,
                         grid.col_group(c),
-                        words=cwords,
+                        words=channel.size(col_bundle.values()),
                         payload=col_bundle,
                         key=("panelcol", J, c, r),
                     )
@@ -537,24 +446,12 @@ def _pxpotrf_once(
                     for k in range(l, nb):
                         rank = dist.owner(k, l)
                         proc = network[rank]
-                        if ab_armed:
-                            lkj = open_block(
-                                rank,
-                                ("panelrow", J, grid.position(rank)[0]),
-                                k,
-                            )
-                            llj = open_block(
-                                rank,
-                                ("panelcol", J, l % grid.cols, l % grid.rows),
-                                l,
-                            )
-                        else:
-                            lkj = proc.inbox[
-                                ("panelrow", J, grid.position(rank)[0])
-                            ][k]
-                            llj = proc.inbox[
-                                ("panelcol", J, l % grid.cols, l % grid.rows)
-                            ][l]
+                        lkj = channel.open(
+                            rank, ("panelrow", J, grid.position(rank)[0]), k
+                        )
+                        llj = channel.open(
+                            rank, ("panelcol", J, l % grid.cols, l % grid.rows), l
+                        )
                         proc.store[("A", k, l)] = (
                             proc.store[("A", k, l)] - lkj @ llj.T
                         )
@@ -578,18 +475,9 @@ def _pxpotrf_once(
                     for rank in sorted(dirty):
                         _checkpoint(network, rank, sorted(dirty[rank]), stats)
 
-            network.clear_inboxes()
-            opened.clear()
+            channel.clear()
 
     L = dist.gather_lower()
-    abft_rec = None
-    if ab_armed:
-        abft_stats.verified = True
-        abft_rec = {
-            "config": abft_cfg.to_dict(),
-            "stats": abft_stats.to_dict(),
-            "attestation": factor_attestation(L),
-        }
     return ParallelRunResult(
         L=L,
         network=network,
@@ -598,5 +486,5 @@ def _pxpotrf_once(
         P=grid.size,
         profile=None if recorder is None else recorder.profile(),
         fault_stats=stats if (injector is not None or ckpt_on) else None,
-        abft=abft_rec,
+        abft=None if ladder is None else ladder.record(L),
     )

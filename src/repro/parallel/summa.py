@@ -22,18 +22,17 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from repro.abft import AbftConfig, SilentCorruptionError, factor_attestation
-from repro.abft.guardian import AbftStats, SilentInjector
-from repro.abft.sealing import open_sealed, seal
+from repro.abft import AbftConfig, AbftLadder, Channel
 from repro.faults.injector import FaultStats
 from repro.faults.plan import FaultPlan
 from repro.observability.spans import SpanProfile, observe
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.network import Network
-from repro.parallel.pxpotrf import _checkpoint, _recover
+from repro.parallel.pxpotrf import _checkpoint, _checkpointing, _recover
 from repro.sequential.flops import gemm_flops
 from repro.util.fastpath import fastpath_enabled
 from repro.util.imath import ceil_div
@@ -101,51 +100,26 @@ def summa(
     scheduled) each rank buddy-checkpoints its accumulators every
     panel step, so a fail-stopped rank is rebuilt exactly and the
     product matches the failure-free run bit for bit.  With ``abft``
-    set, the panel broadcasts travel checksum-sealed exactly as in
-    :func:`~repro.parallel.pxpotrf.pxpotrf`: single silently flipped
-    payload elements heal on open, uncorrectable doubles rebuild the
-    network and re-run under an attempt-salted schedule.
+    set, the panel broadcasts travel through the same sealed
+    :class:`~repro.abft.Channel` and :class:`~repro.abft.AbftLadder`
+    as in :func:`~repro.parallel.pxpotrf.pxpotrf`: single silently
+    flipped payload elements heal on open, uncorrectable doubles
+    rebuild the network and re-run under an attempt-salted schedule.
     """
-    cfg = AbftConfig.coerce(abft)
-    if cfg is None:
-        return _summa_once(
-            a, b, block, grid, alpha=alpha, beta=beta,
-            observe_spans=observe_spans, faults=faults,
-            checkpoint=checkpoint,
-        )
-    abft_stats = AbftStats()
-    attempt = 0
-    while True:
-        abft_stats.attempts = attempt + 1
-        try:
-            return _summa_once(
-                a, b, block, grid, alpha=alpha, beta=beta,
-                observe_spans=observe_spans, faults=faults,
-                checkpoint=checkpoint,
-                abft_cfg=cfg, abft_stats=abft_stats, abft_attempt=attempt,
-            )
-        except SilentCorruptionError:
-            attempt += 1
-            if attempt >= cfg.max_attempts:
-                raise
+    ladder = AbftLadder.coerce(abft, faults)
+    attempt = partial(
+        _summa_once, a, b, block, grid, alpha=alpha, beta=beta,
+        observe_spans=observe_spans, faults=faults, checkpoint=checkpoint,
+        ladder=ladder,
+    )
+    return attempt() if ladder is None else ladder.run(attempt)
 
 
 def _summa_once(
-    a: np.ndarray,
-    b: np.ndarray,
-    block: int,
-    grid: ProcessorGrid | int,
-    *,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-    observe_spans: bool = False,
-    faults: "FaultPlan | None" = None,
-    checkpoint: bool | None = None,
-    abft_cfg: "AbftConfig | None" = None,
-    abft_stats: "AbftStats | None" = None,
-    abft_attempt: int = 0,
+    a, b, block, grid, *, alpha, beta, observe_spans, faults, checkpoint,
+    ladder: "AbftLadder | None",
 ) -> SummaResult:
-    """One attempt of SUMMA on a fresh simulated network."""
+    """One attempt of :func:`summa` on a fresh simulated network."""
     if isinstance(grid, int):
         grid = ProcessorGrid.square(grid)
     check_positive_int("block", block)
@@ -160,18 +134,7 @@ def _summa_once(
     check_finite("b", b)
     network = Network(grid.size, alpha=alpha, beta=beta)
     injector = network.attach_faults(faults)
-    ckpt_on = (
-        bool(checkpoint)
-        if checkpoint is not None
-        else bool(injector is not None and injector.plan.failstops)
-    )
-    if injector is not None and injector.plan.failstops and not ckpt_on:
-        raise ValidationError(
-            "fault plan schedules fail-stops but checkpointing is disabled; "
-            "a failed rank could never be recovered"
-        )
-    if ckpt_on and grid.size < 2:
-        raise ValidationError("buddy checkpointing needs at least 2 processors")
+    ckpt_on = _checkpointing(checkpoint, injector, grid.size)
     stats = injector.stats if injector is not None else FaultStats()
     recorder = observe(network, name="summa") if observe_spans else None
     prof = network.profiler
@@ -183,43 +146,8 @@ def _summa_once(
     def owner(bi: int, bj: int) -> int:
         return grid.block_owner(bi, bj)
 
-    # -- ABFT: sealed broadcast channel (see pxpotrf) ------------------
-    ab_armed = abft_cfg is not None
-    ab_injector = (
-        SilentInjector(abft_cfg.plan or faults, abft_attempt)
-        if ab_armed
-        else None
-    )
-    opened: dict = {}
-
-    def seal_block(rank: int, data: np.ndarray):
-        sealed = seal(data)
-        h, w = sealed.shape
-        network.compute(rank, 2 * h * w)
-        abft_stats.checksum_flops += 2 * h * w
-        return sealed
-
-    def seal_bundle(rank: int, bundle: dict) -> "tuple[dict, int]":
-        """Seal every block of a panel bundle; returns (bundle, words)."""
-        out = {k: seal_block(rank, v) for k, v in bundle.items()}
-        words = sum(v.data.size + v.overhead_words for v in out.values())
-        return out, words
-
-    def open_block(rank: int, key: tuple, idx: int):
-        memo = (rank, key, idx)
-        if memo in opened:
-            return opened[memo]
-        sealed = network[rank].inbox[key][idx]
-        data = open_sealed(
-            sealed,
-            injector=ab_injector,
-            stats=abft_stats,
-            key=key + (idx, rank),
-        )
-        h, w = data.shape
-        network.compute(rank, 2 * h * w)
-        opened[memo] = data
-        return data
+    # broadcast payloads, sealed when protected (see pxpotrf)
+    channel = Channel(network, ladder)
 
     # scatter A, B; zero local C blocks
     for bi in range(nb):
@@ -253,16 +181,15 @@ def _summa_once(
                     a_by_owner[owner(bi, K)].append(bi)
                 for rank, rows in sorted(a_by_owner.items()):
                     proc = network[rank]
-                    bundle = {bi: proc.store[("A", bi, K)] for bi in rows}
-                    if ab_armed:
-                        bundle, bwords = seal_bundle(rank, bundle)
-                    else:
-                        bwords = sum(v.size for v in bundle.values())
+                    bundle = {
+                        bi: channel.seal(rank, proc.store[("A", bi, K)])
+                        for bi in rows
+                    }
                     r = grid.position(rank)[0]
                     network.broadcast(
                         rank,
                         grid.row_group(r),
-                        words=bwords,
+                        words=channel.size(bundle.values()),
                         payload=bundle,
                         key=("Arow", K, r),
                     )
@@ -273,16 +200,15 @@ def _summa_once(
                     b_by_owner[owner(K, bj)].append(bj)
                 for rank, cols in sorted(b_by_owner.items()):
                     proc = network[rank]
-                    bundle = {bj: proc.store[("B", K, bj)] for bj in cols}
-                    if ab_armed:
-                        bundle, bwords = seal_bundle(rank, bundle)
-                    else:
-                        bwords = sum(v.size for v in bundle.values())
+                    bundle = {
+                        bj: channel.seal(rank, proc.store[("B", K, bj)])
+                        for bj in cols
+                    }
                     c = grid.position(rank)[1]
                     network.broadcast(
                         rank,
                         grid.col_group(c),
-                        words=bwords,
+                        words=channel.size(bundle.values()),
                         payload=bundle,
                         key=("Bcol", K, c),
                     )
@@ -297,12 +223,8 @@ def _summa_once(
                         rank = owner(bi, bj)
                         proc = network[rank]
                         r, c = grid.position(rank)
-                        if ab_armed:
-                            ablk = open_block(rank, ("Arow", K, r), bi)
-                            bblk = open_block(rank, ("Bcol", K, c), bj)
-                        else:
-                            ablk = proc.inbox[("Arow", K, r)][bi]
-                            bblk = proc.inbox[("Bcol", K, c)][bj]
+                        ablk = channel.open(rank, ("Arow", K, r), bi)
+                        bblk = channel.open(rank, ("Bcol", K, c), bj)
                         proc.store[("C", bi, bj)] += ablk @ bblk
                         flops = gemm_flops(
                             ablk.shape[0], ablk.shape[1], bblk.shape[1]
@@ -322,8 +244,7 @@ def _summa_once(
                             k for k in network[rank].store if k[0] == "C"
                         )
                         _checkpoint(network, rank, ckeys, stats)
-            network.clear_inboxes()
-            opened.clear()
+            channel.clear()
 
     # gather C (free verification step, like pxpotrf's gather)
     out = np.zeros((n, n))
@@ -332,14 +253,6 @@ def _summa_once(
         for bj in range(nb):
             c0, c1 = brange(bj)
             out[r0:r1, c0:c1] = network[owner(bi, bj)].store[("C", bi, bj)]
-    abft_rec = None
-    if ab_armed:
-        abft_stats.verified = True
-        abft_rec = {
-            "config": abft_cfg.to_dict(),
-            "stats": abft_stats.to_dict(),
-            "attestation": factor_attestation(out),
-        }
     return SummaResult(
         C=out,
         network=network,
@@ -348,5 +261,5 @@ def _summa_once(
         P=grid.size,
         profile=None if recorder is None else recorder.profile(),
         fault_stats=stats if (injector is not None or ckpt_on) else None,
-        abft=abft_rec,
+        abft=None if ladder is None else ladder.record(out),
     )

@@ -13,11 +13,10 @@ import numpy as np
 
 from repro.abft import (
     AbftConfig,
+    AbftLadder,
     ChecksumGuardian,
     SilentCorruptionError,
-    factor_attestation,
 )
-from repro.abft.guardian import AbftStats
 from repro.matrices.tracked import TrackedMatrix
 from repro.results import RunResult, freeze_params
 from repro.schedule import compiled_session, note_run_mode
@@ -76,24 +75,30 @@ def run_algorithm(
         that is not positive definite raises a structured
         :class:`~repro.util.validation.NotPositiveDefiniteError`
         (carrying the failing stage); with ``spd_shift=s`` the run is
-        retried **once** on ``A + s·I`` (machine counters reset, so the
-        measurement reflects only the successful attempt) and the
-        result records the shift in its params.  A common choice is a
-        small multiple of the largest diagonal entry.
+        retried **once** on ``A + s·I`` and the result records the
+        shift in its params.  A common choice is a small multiple of
+        the largest diagonal entry.
     abft:
         Checksum protection (:class:`~repro.abft.AbftConfig`, a config
-        dict, or ``True`` for defaults).  The run is guarded by a
+        dict, or ``True`` for defaults).  Each attempt is guarded by a
         :class:`~repro.abft.ChecksumGuardian`: single silent faults
-        are corrected in place, uncorrectable double faults restore
-        the input snapshot and re-run (counters reset, attempt-salted
-        fault schedule) up to ``max_attempts`` times before the
-        :class:`~repro.abft.SilentCorruptionError` propagates.
-        Protected runs bypass the schedule JIT — a compiled replay
-        could never observe (let alone heal) an injected silent fault.
-        The result carries ``verified=True`` and the ``abft`` counter
-        group including a factor attestation digest.
+        are corrected in place, and an uncorrectable double fault
+        moves the :class:`~repro.abft.AbftLadder` to its next,
+        attempt-salted schedule, up to ``max_attempts`` attempts
+        before the :class:`~repro.abft.SilentCorruptionError`
+        propagates.  Guarded attempts bypass the schedule JIT — a
+        compiled replay could never observe (let alone heal) an
+        injected silent fault.  The result carries ``verified=True``
+        and the ``abft`` counter group including a factor attestation
+        digest.
     params:
         Algorithm-specific keywords (e.g. ``block=`` for ``"lapack"``).
+
+    The spd-shift retry and the ABFT ladder share one attempt loop:
+    every retry restores the pristine input (shifted once the shift
+    is taken) and resets the machine, so the measurement — and the
+    ``abft`` group's ``checksum_*`` overhead — reflects only the
+    successful attempt.
 
     Returns the lower factor ``L`` as a
     :class:`~repro.results.RunResult` — an ``np.ndarray`` subclass, so
@@ -107,113 +112,35 @@ def run_algorithm(
     # Direct array check, not a tracked read: validation is free in the
     # communication model.
     check_finite("A", A.data)
-    recorded = dict(params)
-    cfg = AbftConfig.coerce(abft)
-    if cfg is not None:
-        return _run_protected(name, A, cfg, spd_shift, recorded, params)
-    snapshot = A.data.copy() if spd_shift is not None else None
-    note_run_mode("off")
-
-    def invoke() -> np.ndarray:
-        # Normalize the failure shape: some algorithms raise the
-        # structured error themselves (via dense_cholesky), the naive
-        # ones surface numpy's bare LinAlgError at the failing pivot.
-        # An eligible (pristine, unobserved) run goes through the
-        # schedule JIT: replay a cached same-shape schedule, or run
-        # interpreted under capture.  Re-checked per attempt — the
-        # spd_shift retry resets the machine back to eligibility.
-        session = compiled_session(name, A, params)
-        try:
-            if session is not None:
-                return session.run(lambda: ALGORITHMS[name](A, **params))
-            return ALGORITHMS[name](A, **params)
-        except NotPositiveDefiniteError:
-            raise
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(str(exc), stage=name) from exc
-
-    try:
-        L = invoke()
-    except NotPositiveDefiniteError:
-        if snapshot is None or spd_shift <= 0:
-            raise
-        A.data[:] = snapshot
-        A.data[np.diag_indices_from(A.data)] += float(spd_shift)
-        A.machine.reset()
-        L = invoke()
-        recorded["spd_shift"] = float(spd_shift)
-    return RunResult(
-        L,
-        algorithm=name,
-        layout=A.layout.name,
-        n=A.layout.n,
-        params=freeze_params(recorded),
-        machine=A.machine,
-    )
-
-
-def _run_protected(
-    name: str,
-    A: TrackedMatrix,
-    cfg: AbftConfig,
-    spd_shift: "float | None",
-    recorded: dict,
-    params: dict,
-) -> RunResult:
-    """The checksum-guarded twin of the :func:`run_algorithm` body.
-
-    Bypasses the schedule JIT entirely (``note_run_mode("off")``): a
-    replayed :class:`~repro.schedule.TransferSchedule` recomputes the
-    factor from captured transfers without running the algorithm, so
-    it could silently mask an injected fault instead of detecting it.
-    Uncorrectable double faults restore the pristine input, reset the
-    machine (the measurement reflects the successful attempt, the
-    spd_shift precedent) and re-run under an attempt-salted fault
-    schedule.
-    """
     machine = A.machine
-    plan = cfg.plan if cfg.plan is not None else (
-        machine.faults.plan if machine.faults is not None else None
+    recorded = dict(params)
+    ladder = AbftLadder.coerce(
+        abft, machine.faults.plan if machine.faults is not None else None
     )
+    shift = float(spd_shift) if spd_shift is not None and spd_shift > 0 else None
+    retryable = shift is not None or (
+        ladder is not None and ladder.config.max_attempts > 1
+    )
+    pristine = A.data.copy() if retryable else None
     note_run_mode("off")
-    stats = AbftStats()
-    pristine = A.data.copy()
-    shifted = False
-    attempt = 0
-
-    def restore() -> None:
-        A.data[:] = pristine
-        if shifted:
-            A.data[np.diag_indices_from(A.data)] += float(spd_shift)
-        machine.reset()
-
     while True:
-        stats.attempts = attempt + 1
-        guardian = ChecksumGuardian(A, cfg, plan, attempt=attempt, stats=stats)
+        guardian = None if ladder is None else ChecksumGuardian(A, ladder)
         machine.abft = guardian
         try:
-            guardian.initialize()
-            try:
-                L = ALGORITHMS[name](A, **params)
-            except NotPositiveDefiniteError:
-                raise
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefiniteError(str(exc), stage=name) from exc
-            guardian.finalize()
+            L = _attempt(name, A, params, guardian)
             break
-        except SilentCorruptionError:
-            attempt += 1
-            if attempt >= cfg.max_attempts:
-                raise
-            restore()
+        except SilentCorruptionError as exc:
+            ladder.retry(exc)
         except NotPositiveDefiniteError:
-            if shifted or spd_shift is None or spd_shift <= 0:
+            if shift is None or "spd_shift" in recorded:
                 raise
-            shifted = True
-            recorded["spd_shift"] = float(spd_shift)
-            restore()
+            recorded["spd_shift"] = shift
         finally:
             machine.abft = None
+        A.data[:] = pristine
+        if "spd_shift" in recorded:
+            A.data[np.diag_indices_from(A.data)] += shift
+        machine.reset()
     return RunResult(
         L,
         algorithm=name,
@@ -221,10 +148,33 @@ def _run_protected(
         n=A.layout.n,
         params=freeze_params(recorded),
         machine=machine,
-        verified=True,
-        abft={
-            "config": cfg.to_dict(),
-            "stats": stats.to_dict(),
-            "attestation": factor_attestation(L),
-        },
+        verified=True if ladder is not None else None,
+        abft=None if ladder is None else ladder.record(L),
     )
+
+
+def _attempt(name: str, A: TrackedMatrix, params: dict, guardian) -> np.ndarray:
+    """One attempt: guarded and interpreted, else through the schedule JIT.
+
+    An eligible (pristine, unobserved, unguarded) run replays a cached
+    same-shape schedule or runs interpreted under capture; eligibility
+    is re-checked per attempt, since a retry resets the machine.  The
+    failure shape is normalized: some algorithms raise the structured
+    error themselves (via dense_cholesky), the naive ones surface
+    numpy's bare LinAlgError at the failing pivot.
+    """
+    algorithm = ALGORITHMS[name]
+    try:
+        if guardian is not None:
+            guardian.initialize()
+            L = algorithm(A, **params)
+            guardian.finalize()
+            return L
+        session = compiled_session(name, A, params)
+        if session is not None:
+            return session.run(lambda: algorithm(A, **params))
+        return algorithm(A, **params)
+    except NotPositiveDefiniteError:
+        raise
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc), stage=name) from exc

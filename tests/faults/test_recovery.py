@@ -112,6 +112,21 @@ class TestSummaRecovery:
             summa(a, b, 4, 4, faults=plan, checkpoint=False)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda a, **kw: pxpotrf(a, 4, 1, **kw), id="pxpotrf"),
+        pytest.param(lambda a, **kw: summa(a, a, 4, 1, **kw), id="summa"),
+    ],
+)
+def test_checkpointing_needs_two_processors(run):
+    # a lone rank has no buddy to hold its checkpoints
+    with pytest.raises(ValidationError, match="at least 2 processors"):
+        run(random_spd(8, seed=0), checkpoint=True)
+    # the same P=1 run without checkpointing is fine
+    run(random_spd(8, seed=0))
+
+
 class TestValidationUpFront:
     def test_pxpotrf_rejects_nan_input(self):
         a0 = random_spd(16, seed=0)

@@ -68,6 +68,33 @@ class TestChaosExitCodes:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize(
+        "argv, exc_name",
+        [
+            # every attempt of the ABFT ladder meets a double fault
+            (
+                ["chaos", "chol", "--algorithm", "lapack", "--n", "48",
+                 "--silent", "0.3", "--silent-double", "0.5",
+                 "--abft-attempts", "8", "--fault-seed", "1"],
+                "SilentCorruptionError",
+            ),
+            # the stop-and-wait transport gives up on a message
+            (
+                ["chaos", "pxpotrf", "--n", "16", "--P", "4",
+                 "--drop", "0.95"],
+                "FaultExhausted",
+            ),
+        ],
+    )
+    def test_failed_run_is_one_line_exit_1(self, capsys, argv, exc_name):
+        rc = cli.main(argv)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"[chaos] FAIL: {exc_name}: ")
+
 
 class TestSubmitExitCodes:
     def test_done_exits_zero(self, capsys):
