@@ -204,13 +204,20 @@ class ResultCache:
         return atomic_write_json(path, entry, sort_keys=True)
 
     def __len__(self) -> int:
-        """Number of entries currently on disk (all versions)."""
-        count = 0
+        """Number of entries currently on disk (all versions).
+
+        Counts only ``<key[:2]>/<key>.json`` files, so the schedule
+        tier kept at ``<cache-dir>/schedules`` (including entries of
+        its old JSON format) is never counted as results.
+        """
         if not os.path.isdir(self.directory):
             return 0
-        for dirpath, _dirs, files in os.walk(self.directory):
-            count += sum(1 for f in files if f.endswith(".json"))
-        return count
+        return sum(
+            name.endswith(".json")
+            for shard in os.scandir(self.directory)
+            if shard.is_dir() and len(shard.name) == 2
+            for name in os.listdir(shard.path)
+        )
 
 
 __all__ = [

@@ -10,11 +10,16 @@ Two tiers, mirroring :class:`repro.experiments.cache.ResultCache`:
 
 * an in-process LRU of decoded :class:`TransferSchedule` objects (the
   hot tier — repeated same-spec jobs on a serving shard hit here);
-* an on-disk JSON tier at ``$REPRO_SCHEDULE_DIR`` or
+* an on-disk tier at ``$REPRO_SCHEDULE_DIR`` or
   ``<cache-root>/schedules``, content-addressed as
-  ``<dir>/<key[:2]>/<key>.json`` with atomic writes and a stored
-  digest that is re-verified on every load, so corruption demotes to a
-  miss instead of replaying damaged counts.
+  ``<dir>/<key[:2]>/<key>.sched``: one line of JSON holding the key,
+  the code version and the SHA-256 of the schedule's
+  :meth:`~TransferSchedule.to_bytes` encoding, then that encoding.
+  Writes are atomic, and a load checks the key, the version and the
+  digest of the raw bytes before it decodes anything, then re-runs the
+  schedule's self-check, so corruption demotes to a miss instead of
+  replaying damaged counts.  Entries of the old JSON format
+  (``<key>.json``) are never read.
 
 Every lookup is counted under ``repro_schedule_cache_hits_total``
 (labelled by tier) or ``repro_schedule_cache_misses_total`` so the
@@ -32,13 +37,13 @@ from collections import OrderedDict
 
 from repro.observability.metrics import METRICS
 from repro.schedule.compiled import ScheduleError, TransferSchedule
-from repro.util.serialization import atomic_write_json
+from repro.util.serialization import atomic_write_bytes
 
 SCHEDULE_DIR_ENV = "REPRO_SCHEDULE_DIR"
 
 #: Schedules with more runs than this stay memory-only (a naive n=512
-#: schedule is ~130k runs ≈ a few MB of JSON; the cap keeps pathological
-#: captures from writing hundred-MB cache entries).
+#: schedule is ~130k runs ≈ 1 MB encoded; the cap keeps pathological
+#: captures from writing cache entries of tens of MB).
 MAX_DISK_RUNS = 2_000_000
 
 logger = logging.getLogger("repro.schedule.cache")
@@ -160,7 +165,7 @@ class ScheduleCache:
     def _path_for(self, key: str) -> str | None:
         if self.directory is None:
             return None
-        return os.path.join(self.directory, key[:2], f"{key}.json")
+        return os.path.join(self.directory, key[:2], f"{key}.sched")
 
     def get(self, key: str) -> TransferSchedule | None:
         """Look up a compiled schedule; ``None`` on miss or corruption."""
@@ -192,22 +197,27 @@ class ScheduleCache:
         if path is None:
             return None
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
+            with open(path, "rb") as fh:
+                head, _, blob = fh.read().partition(b"\n")
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            logger.warning("unreadable schedule entry %s: %s", path, exc)
+            return None
+        try:
+            entry = json.loads(head)
             if (
                 not isinstance(entry, dict)
                 or entry.get("key") != key
                 or entry.get("version") != self.version
             ):
                 raise ValueError("malformed or stale schedule entry")
-            sched = TransferSchedule.from_dict(entry["schedule"])
-            if sched.digest() != entry.get("digest"):
+            if hashlib.sha256(blob).hexdigest() != entry.get("digest"):
                 raise ValueError("schedule entry digest mismatch")
+            sched = TransferSchedule.from_bytes(blob)
             sched.verify()
             return sched
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, ScheduleError) as exc:
+        except (ValueError, ScheduleError) as exc:
             logger.warning("corrupt schedule entry %s: %s", path, exc)
             return None
 
@@ -218,14 +228,18 @@ class ScheduleCache:
         path = self._path_for(key)
         if path is None or schedule.nruns > self.max_disk_runs:
             return
-        entry = {
-            "key": key,
-            "version": self.version,
-            "schedule": schedule.to_dict(),
-            "digest": schedule.digest(),
-        }
+        blob = schedule.to_bytes()
+        head = json.dumps(
+            {
+                "key": key,
+                "version": self.version,
+                "digest": hashlib.sha256(blob).hexdigest(),
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
         try:
-            atomic_write_json(path, entry)
+            atomic_write_bytes(path, head.encode("utf-8") + b"\n" + blob)
         except OSError as exc:  # cache dir unwritable: degrade, don't fail
             logger.warning("cannot persist schedule %s: %s", path, exc)
 

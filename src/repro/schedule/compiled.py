@@ -44,11 +44,44 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.util.intervals import IntervalSet, RunBatch
 
 #: On-disk / serialization format version; bump on layout changes.
-SCHEDULE_FORMAT = 1
+SCHEDULE_FORMAT = 2
+
+#: The arrays of an encoded schedule, in body order.
+_ARRAYS = ("starts", "stops", "kinds", "masks")
+
+#: The constructor's other fields, stored in the encoded header.
+_FIELDS = (
+    "capacities",
+    "enforce_capacity",
+    "flops",
+    "batch_hits",
+    "read_calls",
+    "peaks",
+    "totals",
+    "fault_digest",
+    "fault_seqs",
+    "fault_retry_words",
+    "fault_retry_messages",
+)
+
+#: Dtypes an encoded array may use: the unsigned ladder of
+#: :func:`_narrow`, plus signed 64-bit for an array with negative values.
+_WIRE_DTYPES = ("|u1", "<u2", "<u4", "<u8", "<i8")
 
 
 class ScheduleError(RuntimeError):
     """A compiled schedule cannot be applied to the given machine."""
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """``values`` in the narrowest little-endian unsigned dtype that holds
+    them (signed 64-bit if any is negative)."""
+    if len(values) and values.min() < 0:
+        return values.astype("<i8")
+    top = int(values.max()) if len(values) else 0
+    return values.astype(
+        next(d for d in _WIRE_DTYPES if top <= np.iinfo(d).max)
+    )
 
 
 def _ceil_messages(lengths: np.ndarray, cap: int) -> int:
@@ -294,58 +327,72 @@ class TransferSchedule:
 
     # -- serialization ---------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """JSON-ready representation (plain lists, schema-versioned)."""
-        return {
-            "format": SCHEDULE_FORMAT,
-            "starts": self.starts.tolist(),
-            "stops": self.stops.tolist(),
-            "kinds": self.kinds.astype(np.int8).tolist(),
-            "masks": self.masks.tolist(),
-            "capacities": list(self.capacities),
-            "enforce_capacity": self.enforce_capacity,
-            "flops": self.flops,
-            "batch_hits": self.batch_hits,
-            "read_calls": self.read_calls,
-            "peaks": list(self.peaks),
-            "totals": [list(row) for row in self.totals],
-            "fault_digest": self.fault_digest,
-            "fault_seqs": list(self.fault_seqs),
-            "fault_retry_words": self.fault_retry_words,
-            "fault_retry_messages": self.fault_retry_messages,
-        }
+    def to_bytes(self) -> bytes:
+        """The schedule's binary encoding (what the disk tier stores).
+
+        One line of canonical JSON — the format, ``nruns``, each
+        array's dtype and every scalar field — then the raw
+        little-endian bytes of ``starts``, ``stops``, ``kinds`` and
+        ``masks`` in that order, each in the narrowest unsigned dtype
+        that holds its values.  Deterministic, so :meth:`digest` can
+        hash it.
+        """
+        arrays = {name: _narrow(getattr(self, name)) for name in _ARRAYS}
+        header = {name: getattr(self, name) for name in _FIELDS}
+        header["format"] = SCHEDULE_FORMAT
+        header["nruns"] = self.nruns
+        header["dtypes"] = {name: a.dtype.str for name, a in arrays.items()}
+        head = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        return b"".join(
+            [head.encode("utf-8"), b"\n"]
+            + [a.tobytes() for a in arrays.values()]
+        )
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "TransferSchedule":
-        """Rebuild a schedule from :meth:`to_dict` output."""
-        if doc.get("format") != SCHEDULE_FORMAT:
+    def from_bytes(cls, blob: bytes) -> "TransferSchedule":
+        """Rebuild a schedule from :meth:`to_bytes` output.
+
+        Raises :class:`ScheduleError` for anything that is not a
+        complete format-2 encoding: an unreadable header, an unknown
+        format or dtype, a field of the wrong type, or a body that is
+        shorter or longer than the header says.
+        """
+        head, _, body = blob.partition(b"\n")
+        try:
+            header = json.loads(head)
+        except ValueError as exc:
+            raise ScheduleError(f"unreadable schedule header: {exc}") from None
+        if not isinstance(header, dict):
+            raise ScheduleError("schedule header is not a JSON object")
+        if header.get("format") != SCHEDULE_FORMAT:
             raise ScheduleError(
-                f"unsupported schedule format {doc.get('format')!r}"
+                f"unsupported schedule format {header.get('format')!r}"
             )
-        return cls(
-            starts=np.asarray(doc["starts"], dtype=np.int64),
-            stops=np.asarray(doc["stops"], dtype=np.int64),
-            kinds=np.asarray(doc["kinds"], dtype=bool),
-            masks=np.asarray(doc["masks"], dtype=np.int64),
-            capacities=doc["capacities"],
-            enforce_capacity=doc["enforce_capacity"],
-            flops=doc["flops"],
-            batch_hits=doc["batch_hits"],
-            read_calls=doc["read_calls"],
-            peaks=doc["peaks"],
-            totals=doc["totals"],
-            fault_digest=doc.get("fault_digest"),
-            fault_seqs=doc.get("fault_seqs", ()),
-            fault_retry_words=doc.get("fault_retry_words", 0),
-            fault_retry_messages=doc.get("fault_retry_messages", 0),
-        )
+        try:
+            nruns = header["nruns"]
+            if type(nruns) is not int or not 0 <= nruns <= len(body):
+                raise ValueError(f"bad run count {nruns!r}")
+            arrays = {}
+            offset = 0
+            for name in _ARRAYS:
+                dtype = header["dtypes"][name]
+                if dtype not in _WIRE_DTYPES:
+                    raise ValueError(f"bad dtype {dtype!r} for {name}")
+                arrays[name] = np.frombuffer(
+                    body, dtype=dtype, count=nruns, offset=offset
+                )
+                offset += arrays[name].nbytes
+            if offset != len(body):
+                raise ValueError(
+                    f"body is {len(body)} bytes, header says {offset}"
+                )
+            return cls(**arrays, **{name: header[name] for name in _FIELDS})
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ScheduleError(f"malformed schedule encoding: {exc!r}") from None
 
     def digest(self) -> str:
-        """SHA-256 over the canonical JSON form (corruption detection)."""
-        blob = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        """SHA-256 of :meth:`to_bytes` (corruption detection)."""
+        return hashlib.sha256(self.to_bytes()).hexdigest()
 
     def __repr__(self) -> str:
         return (

@@ -1,9 +1,10 @@
 """Crash-safe artifact writes.
 
-Every JSON (or text) artifact the library persists — cache entries,
-experiment artifacts, reports, bench documents, metrics dumps — goes
-through one discipline: serialize to a temporary file in the target
-directory, flush and fsync it, then :func:`os.replace` it into place.
+Every artifact the library persists — cache entries, compiled
+schedules, experiment artifacts, reports, bench documents, metrics
+dumps — goes through one discipline: serialize to a temporary file in
+the target directory, flush and fsync it, then :func:`os.replace` it
+into place.
 A reader can therefore never observe a torn file: it sees either the
 previous complete version or the new complete one, even if the writing
 process is killed mid-write.  (A stray ``.tmp-*`` file may survive a
@@ -19,8 +20,8 @@ import tempfile
 from typing import Any
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> str:
-    """Atomically replace ``path`` with ``text``; returns the path.
+def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> str:
+    """Atomically replace ``path`` with ``data``; returns the path.
 
     The parent directory is created if missing.  The data is durable
     (fsync'd) before the rename, so a crash immediately after return
@@ -31,8 +32,8 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> str:
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -41,6 +42,11 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> str:
             os.unlink(tmp)
         raise
     return path
+
+
+def atomic_write_text(path: str | os.PathLike, text: str) -> str:
+    """Atomically replace ``path`` with ``text`` (UTF-8); returns the path."""
+    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_json(
@@ -57,4 +63,4 @@ def atomic_write_json(
     return atomic_write_text(path, text)
 
 
-__all__ = ["atomic_write_json", "atomic_write_text"]
+__all__ = ["atomic_write_bytes", "atomic_write_json", "atomic_write_text"]

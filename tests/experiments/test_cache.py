@@ -85,3 +85,24 @@ class TestLayout:
         assert path.parent.name == cache.key_for(point)[:2]
         entry = json.loads(path.read_text())
         assert entry["point"] == point.to_dict()
+
+    def test_schedule_tier_does_not_count_as_results(self, tmp_path, point):
+        """The default schedule tier lives at ``<cache-root>/schedules``;
+        neither its entries nor stale ones of its old JSON format are
+        results."""
+        from repro.schedule import ScheduleCache, set_default_cache
+
+        root = tmp_path / "cache"
+        prev = set_default_cache(ScheduleCache(root / "schedules"))
+        try:
+            measurement, dt = execute_point(point)
+        finally:
+            set_default_cache(prev)
+        cache = ResultCache(root)
+        cache.put(point, measurement, dt)
+        assert any((root / "schedules").rglob("*.*"))
+        assert len(cache) == 1
+        stale = root / "schedules" / "ab" / ("ab" + "0" * 62 + ".json")
+        stale.parent.mkdir(exist_ok=True)
+        stale.write_text("{}")
+        assert len(cache) == 1

@@ -17,12 +17,16 @@ from hypothesis import strategies as st
 from repro.faults.plan import FaultPlan
 from repro.layouts import make_layout
 from repro.machine import SequentialMachine
+from repro.matrices.generators import random_spd
+from repro.matrices.tracked import TrackedMatrix
 from repro.schedule import (
     ScheduleCache,
     TransferSchedule,
     fault_plan_digest,
     schedule_key,
+    set_default_cache,
 )
+from repro.sequential.registry import run_algorithm
 
 # One run shape, drawn coordinate-wise.  ``block`` only matters for
 # the blocked layout; the fault seed ``None`` means fault-free.
@@ -148,7 +152,7 @@ class TestTiers:
         assert reader.get(key) is not None
         assert reader.stats()["hits_memory"] == 1
         # entries shard by key prefix, like the result cache
-        assert (tmp_path / "sched" / "ab" / f"{key}.json").exists()
+        assert (tmp_path / "sched" / "ab" / f"{key}.sched").exists()
 
     def test_stale_version_is_a_miss(self, tmp_path):
         key = "cd" + "0" * 62
@@ -159,20 +163,20 @@ class TestTiers:
         key = "ef" + "0" * 62
         writer = ScheduleCache(tmp_path / "s", version="v")
         writer.put(key, tiny_schedule())
-        path = tmp_path / "s" / "ef" / f"{key}.json"
-        path.write_text("{not json")
+        path = tmp_path / "s" / "ef" / f"{key}.sched"
+        path.write_bytes(b"{not json")
         assert ScheduleCache(tmp_path / "s", version="v").get(key) is None
 
     def test_tampered_payload_fails_digest(self, tmp_path):
-        import json
-
         key = "01" + "0" * 62
         writer = ScheduleCache(tmp_path / "s", version="v")
         writer.put(key, tiny_schedule())
-        path = tmp_path / "s" / "01" / f"{key}.json"
-        entry = json.loads(path.read_text())
-        entry["schedule"]["flops"] = 999  # damage without touching digest
-        path.write_text(json.dumps(entry))
+        path = tmp_path / "s" / "01" / f"{key}.sched"
+        head, _, blob = path.read_bytes().partition(b"\n")
+        # damage without touching digest; the blob alone still decodes
+        tampered = blob.replace(b'"flops":3', b'"flops":999')
+        assert TransferSchedule.from_bytes(tampered).flops == 999
+        path.write_bytes(head + b"\n" + tampered)
         assert ScheduleCache(tmp_path / "s", version="v").get(key) is None
 
     def test_lru_eviction_falls_back_to_disk(self, tmp_path):
@@ -189,5 +193,58 @@ class TestTiers:
         cache = ScheduleCache(tmp_path / "s", version="v", max_disk_runs=1)
         key = "aa" + "0" * 62
         cache.put(key, tiny_schedule())  # 2 runs > cap of 1
-        assert not (tmp_path / "s" / "aa" / f"{key}.json").exists()
+        assert not (tmp_path / "s" / "aa" / f"{key}.sched").exists()
         assert cache.get(key) is not None  # memory tier still serves it
+
+
+def captured_schedule(directory) -> TransferSchedule:
+    """A real capture (naive-left, n=24, M=96), read back from disk."""
+    prev = set_default_cache(ScheduleCache(directory, version="v"))
+    try:
+        machine = SequentialMachine(96, batched=True)
+        A = TrackedMatrix(
+            random_spd(24, seed=3), make_layout("column-major", 24), machine
+        )
+        run_algorithm("naive-left", A)
+    finally:
+        set_default_cache(prev)
+    (path,) = directory.glob("*/*.sched")
+    return ScheduleCache(directory, version="v").get(path.stem)
+
+
+class TestDamagedEntries:
+    """Any damage to a disk entry reads back as a miss or as the intact
+    schedule, never as an exception, and the next ``put`` heals it."""
+
+    KEY = "fe" + "0" * 62
+
+    def _check(self, directory, schedule, stride):
+        ScheduleCache(directory, version="v").put(self.KEY, schedule)
+        path = directory / self.KEY[:2] / f"{self.KEY}.sched"
+        intact = path.read_bytes()
+        want = schedule.digest()
+        # every byte of both header lines, then a stride through the arrays
+        body = intact.index(b"\n", intact.index(b"\n") + 1) + 1
+        damaged = []
+        for offset in [*range(body), *range(body, len(intact), stride)]:
+            damaged.append(intact[:offset])
+            for mask in (0x01, 0xFF):
+                flipped = bytearray(intact)
+                flipped[offset] ^= mask
+                damaged.append(bytes(flipped))
+        for data in damaged:
+            path.write_bytes(data)
+            got = ScheduleCache(directory, version="v").get(self.KEY)
+            assert got is None or got.digest() == want
+        ScheduleCache(directory, version="v").put(self.KEY, schedule)
+        assert path.read_bytes() == intact
+        healed = ScheduleCache(directory, version="v").get(self.KEY)
+        assert healed.digest() == want
+
+    def test_every_truncation_and_flip_of_a_tiny_entry(self, tmp_path):
+        self._check(tmp_path, tiny_schedule(), stride=1)
+
+    def test_sampled_truncations_and_flips_of_a_captured_entry(self, tmp_path):
+        schedule = captured_schedule(tmp_path / "capture")
+        assert schedule.nruns > 100
+        self._check(tmp_path / "damage", schedule, stride=7)

@@ -10,9 +10,12 @@ agree with their per-run equivalents.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.faults.plan import FaultPlan
 from repro.layouts import make_layout
 from repro.machine import HierarchicalMachine, SequentialMachine
 from repro.machine.lru import LRUCache
@@ -28,8 +31,21 @@ from repro.schedule import (
     last_run_mode,
     set_default_cache,
 )
-from repro.sequential.registry import run_algorithm
+from repro.sequential.registry import available_algorithms, run_algorithm
 from repro.util.intervals import IntervalSet
+
+
+def header_of(blob: bytes) -> dict:
+    """The JSON header line of an encoded schedule."""
+    return json.loads(blob.partition(b"\n")[0])
+
+
+def edit_header(blob: bytes, edit) -> bytes:
+    """Re-encode ``blob`` with ``edit(header)`` applied to its header."""
+    header = header_of(blob)
+    edit(header)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return head.encode("utf-8") + b"\n" + blob.partition(b"\n")[2]
 
 
 @pytest.fixture()
@@ -154,10 +170,14 @@ class TestApplyValidation:
 
     def test_tampered_totals_fail_self_check(self):
         schedule = self._schedule()
-        doc = schedule.to_dict()
-        doc["totals"][0][0] += 1
+
+        def bump(header):
+            header["totals"][0][0] += 1
+
         with pytest.raises(ScheduleError):
-            TransferSchedule.from_dict(doc).verify()
+            TransferSchedule.from_bytes(
+                edit_header(schedule.to_bytes(), bump)
+            ).verify()
 
     def test_apply_is_idempotent_only_on_pristine(self):
         schedule = self._schedule()
@@ -172,20 +192,29 @@ class TestSerialization:
         schedule, _ = _capture(
             lambda: SequentialMachine(32, batched=True), _explicit_work
         )
-        clone = TransferSchedule.from_dict(schedule.to_dict())
+        blob = schedule.to_bytes()
+        clone = TransferSchedule.from_bytes(blob)
         assert clone.digest() == schedule.digest()
+        assert clone.to_bytes() == blob
         assert clone.totals == schedule.totals
         assert np.array_equal(clone.starts, schedule.starts)
         assert np.array_equal(clone.masks, schedule.masks)
+        # stored narrow, widened back on load
+        assert header_of(blob)["dtypes"] == {
+            "starts": "|u1", "stops": "|u1", "kinds": "|u1", "masks": "|u1"
+        }
+        assert clone.starts.dtype == np.int64 and clone.kinds.dtype == bool
 
     def test_unknown_format_is_rejected(self):
         schedule, _ = _capture(
             lambda: SequentialMachine(32, batched=True), _explicit_work
         )
-        doc = schedule.to_dict()
-        doc["format"] = 999
+
+        def future(header):
+            header["format"] = 999
+
         with pytest.raises(ScheduleError):
-            TransferSchedule.from_dict(doc)
+            TransferSchedule.from_bytes(edit_header(schedule.to_bytes(), future))
 
 
 class TestAnalysisEntryPoints:
@@ -249,3 +278,66 @@ class TestEndToEndReuse:
             "misses": 0,
             "entries_memory": 0,
         }
+
+
+class TestDiskRoundTrip:
+    """A schedule read back from disk must act exactly like the captured
+    one.  The disk tier stores arrays in narrow unsigned dtypes, and
+    ``_ceil_messages`` negates run lengths, which wraps on an unsigned
+    array that was not widened back."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [None, FaultPlan(seed=11, read_fault=0.05)],
+        ids=["clean", "faulty"],
+    )
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    def test_fresh_cache_reads_back_an_equivalent_schedule(
+        self, algorithm, plan, tmp_path
+    ):
+        M = 96
+
+        def machine_for():
+            machine = SequentialMachine(M, batched=True)
+            machine.attach_faults(plan)
+            return machine
+
+        def state(machine):
+            faults = machine.faults
+            return _counters(machine), (
+                faults.schedule_fingerprint() if faults else None
+            )
+
+        writer = ScheduleCache(tmp_path, version="test")
+        prev = set_default_cache(writer)
+        try:
+            machine = machine_for()
+            A = TrackedMatrix(
+                random_spd(24, seed=3), make_layout("column-major", 24), machine
+            )
+            run_algorithm(algorithm, A)
+            assert last_run_mode() == "capture"
+        finally:
+            set_default_cache(prev)
+        (path,) = tmp_path.glob("*/*.sched")
+        captured = writer.get(path.stem)
+        assert (captured.fault_digest is None) == (plan is None)
+        reader = ScheduleCache(tmp_path, version="test")
+        loaded = reader.get(path.stem)
+        assert reader.stats()["hits_disk"] == 1
+        assert loaded is not captured
+        assert loaded.digest() == captured.digest()
+
+        def applied(schedule):
+            fresh = machine_for()
+            fresh.replay_schedule(schedule)
+            return state(fresh)
+
+        assert applied(loaded) == applied(captured) == state(machine)
+        assert list(loaded.level_runs(0)) == list(captured.level_runs(0))
+        assert LRUCache(M).replay_schedule(loaded) == LRUCache(
+            M
+        ).replay_schedule(captured)
+        a = StackDistanceAnalyzer().analyze_schedule(loaded)
+        b = StackDistanceAnalyzer().analyze_schedule(captured)
+        assert (a.distances, a.cold_misses) == (b.distances, b.cold_misses)
