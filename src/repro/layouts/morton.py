@@ -9,17 +9,22 @@ of the hierarchy (Conclusion 5).
 
 The dimension is padded to the next power of two; padding addresses
 exist but are never stored entries (``stores`` is false there), so the
-words of an interval request count only real entries... *almost*: a
-Z-order run over a fully covered quadrant includes padding holes.  To
-keep word counts exact we subtract padded addresses during the
-recursive descent — a quadrant is emitted as one run only when it
-contains no padding.
+words of an interval request count only real entries.  A rectangle's
+runs come straight from its addresses: the address of ``(i, j)`` is
+``spread(i) << 1 | spread(j)``, where ``spread`` moves bit ``k`` to bit
+``2k`` (a table built once per layout), so the rectangle's addresses
+are one broadcast OR of two table slices.  Sorted, they split into runs
+wherever consecutive addresses differ by more than one.  Padding cells
+never enter the address array, so a Z-order run over a quadrant that
+contains padding breaks at the holes and word counts stay exact.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.layouts.base import Layout, LayoutError
-from repro.util.intervals import IntervalSet, merge_intervals
+from repro.util.intervals import IntervalSet
 from repro.util.imath import next_pow2
 
 
@@ -35,6 +40,15 @@ def interleave_bits(i: int, j: int) -> int:
     return out
 
 
+def _spread_bits(n: int) -> np.ndarray:
+    """``interleave_bits(0, j)`` for ``j`` in ``0 … n-1``, as int64."""
+    idx = np.arange(n, dtype=np.int64)
+    out = np.zeros(n, dtype=np.int64)
+    for k in range(max(1, (n - 1).bit_length())):
+        out |= ((idx >> k) & 1) << (2 * k)
+    return out
+
+
 class MortonLayout(Layout):
     """Bit-interleaved recursive full storage."""
 
@@ -45,6 +59,7 @@ class MortonLayout(Layout):
     def __init__(self, n: int) -> None:
         super().__init__(n)
         self.padded = next_pow2(n)
+        self._spread = _spread_bits(n)
 
     @property
     def storage_words(self) -> int:
@@ -60,29 +75,13 @@ class MortonLayout(Layout):
         self._check_rect(r0, r1, c0, c1)
         if r1 <= r0 or c1 <= c0:
             return IntervalSet()
-        runs: list[tuple[int, int]] = []
-        n = self.n
-
-        def descend(qr: int, qc: int, size: int, base: int) -> None:
-            # intersection of the quadrant with the request and with
-            # the real (un-padded) matrix
-            lo_r, hi_r = max(qr, r0), min(qr + size, r1, n)
-            lo_c, hi_c = max(qc, c0), min(qc + size, c1, n)
-            if lo_r >= hi_r or lo_c >= hi_c:
-                return
-            if lo_r == qr and hi_r == qr + size and lo_c == qc and hi_c == qc + size:
-                runs.append((base, base + size * size))
-                return
-            if size == 1:
-                runs.append((base, base + 1))
-                return
-            half = size // 2
-            sq = half * half
-            # children in address order: (0,0), (0,1), (1,0), (1,1)
-            descend(qr, qc, half, base)
-            descend(qr, qc + half, half, base + sq)
-            descend(qr + half, qc, half, base + 2 * sq)
-            descend(qr + half, qc + half, half, base + 3 * sq)
-
-        descend(0, 0, self.padded, 0)
-        return IntervalSet(merge_intervals(runs))
+        spread = self._spread
+        addrs = ((spread[r0:r1] << 1)[:, None] | spread[c0:c1]).ravel()
+        addrs.sort()
+        # addresses are distinct, so a gap is any step larger than one
+        cut = np.flatnonzero(addrs[1:] - addrs[:-1] > 1)
+        starts = np.concatenate((addrs[:1], addrs[cut + 1]))
+        stops = np.concatenate((addrs[cut], addrs[-1:])) + 1
+        return IntervalSet._from_normalized(
+            tuple(zip(starts.tolist(), stops.tolist()))
+        )

@@ -350,12 +350,16 @@ class HierarchicalMachine:
         if peak_extra is None:
             peak_extra = batch.max_set_words()
         if self.faults is not None:
+            # each read is transient: afterwards the resident set is
+            # exactly what it was before the batch, including any
+            # resident word the read overlapped
+            resident = self.resident
             for ivs, is_write in batch.items():
                 if is_write:
                     self._charge_write(ivs)
                 else:
                     self.read(ivs)
-                    self.resident = self.resident - ivs
+                    self.resident = resident
             self._note_batch_peak(int(peak_extra))
             return
         self.batch_hits += 1

@@ -318,34 +318,31 @@ def _right_segmented_batched(A: TrackedMatrix) -> None:
                 if r == j:
                     pivot_ref.load()
             pivot_ref.release()
-            for k in range(j + 1, n):
-                akj_ref = A.block(k, k + 1, j, j + 1)
-                akj = akj_ref.load()[0, 0]
-                # per segment: read segj, read segk, write segk; both
-                # sibling segments are held at once.  In the first
-                # segment (r == k) the resident multiplier a_kj lies
-                # inside the loaded segj, so that segment holds one
-                # word fewer than its nominal 2·len.
+            if j + 1 < n:
+                # the whole update phase is one batch, in element-wise
+                # order: per trailing column k, the multiplier a_kj, then
+                # (read segj, read segk, write segk) per segment.  a_kj
+                # lies inside k's first segj and leaves with it, so
+                # column k peaks at its first pair of sibling segments,
+                # 2·min(seg_u, n - k) words; k = j + 1 peaks highest.
                 rects = []
                 flags = []
-                sizes = []
-                for r in range(k, n, seg_u):
-                    re = min(r + seg_u, n)
-                    rects.append((r, re, j, j + 1))
-                    rects.append((r, re, k, k + 1))
-                    rects.append((r, re, k, k + 1))
-                    flags.extend((False, False, True))
-                    sizes.append(re - r)
-                peak = 2 * sizes[0] - 1
-                if len(sizes) > 1:
-                    peak = max(peak, 2 * max(sizes[1:]))
-                A.data[k:n, k] -= A.data[k:n, j] * akj
+                for k in range(j + 1, n):
+                    rects.append((k, k + 1, j, j + 1))
+                    flags.append(False)
+                    for r in range(k, n, seg_u):
+                        re = min(r + seg_u, n)
+                        rects.append((r, re, j, j + 1))
+                        rects.append((r, re, k, k + 1))
+                        rects.append((r, re, k, k + 1))
+                        flags.extend((False, False, True))
+                v = A.data[j + 1 : n, j]
+                A.data[j + 1 : n, j + 1 : n] -= np.tril(np.outer(v, v))
                 machine.charge_intervals(
                     A.rect_batch(rects, is_write=flags),
-                    peak_extra=peak,
+                    peak_extra=2 * min(seg_u, n - j - 1),
                 )
-                machine.add_flops(2 * (n - k))
-                akj_ref.release()
+                machine.add_flops((n - j - 1) * (n - j))
 
 
 def naive_up_looking(A: TrackedMatrix) -> np.ndarray:

@@ -8,6 +8,7 @@ from repro.machine import SequentialMachine
 from repro.matrices import TrackedMatrix
 from repro.matrices.generators import random_spd
 from repro.sequential.registry import run_algorithm
+from repro.util.intervals import IntervalSet, RunBatch
 
 
 def factor(n=16, M=64, plan=None, algorithm="naive-left"):
@@ -72,3 +73,29 @@ class TestReadFaults:
         first = one_run()
         machine.reset()
         assert one_run() == first
+
+
+class TestBatchFallback:
+    """With faults armed, ``charge_intervals`` replays the batch per set."""
+
+    def test_fallback_keeps_the_resident_set(self):
+        # a batch read that overlaps an already-resident word must not
+        # evict it: the fallback has to leave residency (and so the
+        # noted peak) exactly where the fault-free batch leaves it
+        batch = RunBatch.from_sets(
+            [IntervalSet.single(10, 20), IntervalSet.single(100, 110)]
+        )
+        seen = []
+        for plan in (None, FaultPlan(seed=11, read_fault=0.05)):
+            machine = SequentialMachine(64)
+            machine.attach_faults(plan)
+            machine.read(IntervalSet.single(10, 11))
+            machine.charge_intervals(batch, peak_extra=19)
+            seen.append(
+                (machine.resident, machine.levels[0].peak_resident,
+                 machine.batch_hits)
+            )
+        assert seen == [
+            (IntervalSet.single(10, 11), 20, 1),
+            (IntervalSet.single(10, 11), 20, 0),  # per-set fallback
+        ]

@@ -9,6 +9,8 @@ Two invariants define layout correctness:
    entries of the rectangle.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from repro.layouts import (
     BlockedLayout,
     ColumnMajorLayout,
+    Layout,
     LayoutError,
     MortonLayout,
     PackedLayout,
@@ -226,6 +229,32 @@ class TestMortonSpecifics:
         assert lay.storage_words == 64
         # requests never count padding words
         assert lay.full_intervals().words == 25
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_runs_match_enumeration_on_every_rectangle(self, n):
+        # the base class enumerates cell by cell through address():
+        # the reference the sorted-address runs must reproduce exactly,
+        # empty rectangles included
+        lay = MortonLayout(n)
+        for r0 in range(n + 1):
+            for r1 in range(r0, n + 1):
+                for c0 in range(n + 1):
+                    for c1 in range(c0, n + 1):
+                        assert tuple(lay.intervals(r0, r1, c0, c1)) == tuple(
+                            Layout.intervals(lay, r0, r1, c0, c1)
+                        ), (r0, r1, c0, c1)
+
+    @pytest.mark.parametrize("n", [13, 31, 33, 100, 160])
+    def test_runs_match_enumeration_on_sampled_rectangles(self, n):
+        # padded dimensions: runs must break at the padding holes
+        lay = MortonLayout(n)
+        rng = random.Random(n)
+        for _ in range(150):
+            r0, r1 = sorted(rng.randint(0, n) for _ in range(2))
+            c0, c1 = sorted(rng.randint(0, n) for _ in range(2))
+            assert tuple(lay.intervals(r0, r1, c0, c1)) == tuple(
+                Layout.intervals(lay, r0, r1, c0, c1)
+            ), (r0, r1, c0, c1)
 
 
 class TestBlockedSpecifics:
