@@ -40,11 +40,15 @@ from repro.analysis.wallclock import (
 #: Minimum fast/slow speedup per algorithm on the smoke grid.  The
 #: full-grid (n=512) thresholds — 5x for naive-left, 2x for toledo and
 #: square-recursive — are enforced by ``repro bench`` consumers; the
-#: small grid uses a safety margin below its measured ratios.
+#: small grid uses a safety margin below its measured ratios.  Twenty
+#: runs with BLAS pinned to one thread (2-vCPU Xeon VM) read, min /
+#: median: naive-left 6.0x / 11.6x; toledo 5.1x / 8.6x and
+#: square-recursive 6.7x / 9.5x, whose fast path is a charge plan
+#: (one batch per run).
 SMOKE_THRESHOLDS = {
     "naive-left": 3.0,
-    "toledo": 1.3,
-    "square-recursive": 2.0,
+    "toledo": 4.0,
+    "square-recursive": 4.5,
 }
 
 

@@ -17,11 +17,26 @@ Conventions:
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
-import pytest
+# One BLAS/OpenMP thread per process, set before anything imports numpy
+# (as perfbench/harness.py does): OpenBLAS reads these once, when it
+# loads.  Unpinned, its worker threads contend with the timed
+# interpreter and intermittently stall the wall-clock gates of
+# bench_wallclock.py.
+for _var in (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    os.environ[_var] = "1"
 
-from repro.analysis.report import ReportWriter
+from pathlib import Path  # noqa: E402
+
+import pytest  # noqa: E402
+
+from repro.analysis.report import ReportWriter  # noqa: E402
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

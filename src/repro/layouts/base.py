@@ -18,9 +18,11 @@ that does not exist.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from repro.util.intervals import IntervalSet, merge_intervals
+import numpy as np
+
+from repro.util.intervals import IntervalSet, merge_intervals, stack_runs
 from repro.util.validation import check_positive_int
 
 
@@ -48,6 +50,9 @@ class Layout(ABC):
     #: when no such stride exists.  The batched transfer builders use
     #: this to emit per-column runs in closed form.
     column_stride: "int | None" = None
+    #: whether :meth:`rect_runs` builds a batch without one
+    #: :meth:`intervals` call per rectangle
+    vectorized_runs: bool = False
 
     def __init__(self, n: int) -> None:
         self.n = check_positive_int("n", n)
@@ -98,12 +103,9 @@ class Layout(ABC):
     def rect_words(self, r0: int, r1: int, c0: int, c1: int) -> int:
         """Number of stored entries within the rectangle."""
         self._check_rect(r0, r1, c0, c1)
-        total = 0
-        for c in range(c0, c1):
-            lo, hi = self._clip_column(c, r0, r1)
-            if hi > lo:
-                total += hi - lo
-        return total
+        if self.packed:
+            return lower_words(r0, r1, c0, c1)
+        return (r1 - r0) * (c1 - c0)
 
     # -- interval computation --------------------------------------------
 
@@ -118,6 +120,21 @@ class Layout(ABC):
             (a, a + 1)
             for a in (self.address(i, j) for i, j in self.stored_cells(r0, r1, c0, c1))
         )
+
+    def rect_runs(
+        self, rects: "Sequence[tuple[int, int, int, int]]"
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Address runs of every rectangle of ``rects``, stacked.
+
+        Returns ``(starts, stops, offsets)``: rectangle ``i`` owns runs
+        ``offsets[i]:offsets[i + 1]``, which equal
+        ``self.intervals(*rects[i])`` (an empty rectangle owns none).
+        An out-of-range rectangle raises :class:`LayoutError`, as
+        :meth:`intervals` does.  The base implementation stacks one
+        :meth:`intervals` call per rectangle; layouts that set
+        :attr:`vectorized_runs` build the whole batch at once.
+        """
+        return stack_runs([self.intervals(*r) for r in rects])
 
     def column_intervals(self, c: int, r0: int, r1: int) -> IntervalSet:
         """Address runs of rows ``[r0, r1)`` of column ``c``."""
@@ -149,3 +166,20 @@ class Layout(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n})"
+
+
+def lower_words(r0: int, r1: int, c0: int, c1: int) -> int:
+    """Entries ``i >= j`` of ``[r0, r1) × [c0, c1)``, in closed form.
+
+    The stored words of a rectangle on a packed (lower-triangular)
+    layout: columns left of the row range hold ``r1 - r0`` entries
+    each, column ``j`` inside it holds ``r1 - j``, columns right of it
+    none.
+    """
+    if r1 <= r0 or c1 <= c0:
+        return 0
+    words = max(0, min(c1, r0) - c0) * (r1 - r0)
+    a, b = max(c0, r0), min(c1, r1)
+    if b > a:
+        words += (b - a) * r1 - (a + b - 1) * (b - a) // 2
+    return words

@@ -8,6 +8,8 @@ the naïve one-column-at-a-time algorithms, but a ``b × b`` block is
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.layouts.base import Layout, LayoutError
 from repro.util.fastpath import fastpath_enabled
 from repro.util.intervals import IntervalSet, merge_intervals
@@ -19,6 +21,7 @@ class ColumnMajorLayout(Layout):
     name = "column-major"
     block_contiguous = False
     packed = False
+    vectorized_runs = True
 
     @property
     def storage_words(self) -> int:
@@ -49,6 +52,30 @@ class ColumnMajorLayout(Layout):
             merge_intervals(
                 (r0 + c * n, r1 + c * n) for c in range(c0, c1)
             )
+        )
+
+    def rect_runs(self, rects):
+        """Closed form: one run per column, or one for a full-height
+        rectangle (whose columns abut); no per-rectangle set is built."""
+        n = self.n
+        starts: list[int] = []
+        stops: list[int] = []
+        offsets = [0]
+        for r0, r1, c0, c1 in rects:
+            if not (0 <= r0 <= r1 <= n and 0 <= c0 <= c1 <= n):
+                self._check_rect(r0, r1, c0, c1)
+            if r1 > r0 and c1 > c0:
+                if r1 - r0 == n:
+                    starts.append(c0 * n)
+                    stops.append(c1 * n)
+                else:
+                    starts.extend(range(r0 + c0 * n, r0 + c1 * n, n))
+                    stops.extend(range(r1 + c0 * n, r1 + c1 * n, n))
+            offsets.append(len(starts))
+        return (
+            np.array(starts, dtype=np.int64),
+            np.array(stops, dtype=np.int64),
+            np.array(offsets, dtype=np.int64),
         )
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.layouts.base import Layout, LayoutError
-from repro.util.intervals import IntervalSet
+from repro.util.intervals import IntervalSet, gather_runs
 from repro.util.imath import next_pow2
 
 
@@ -55,6 +55,7 @@ class MortonLayout(Layout):
     name = "morton"
     block_contiguous = True
     packed = False
+    vectorized_runs = True
 
     def __init__(self, n: int) -> None:
         super().__init__(n)
@@ -85,3 +86,44 @@ class MortonLayout(Layout):
         return IntervalSet._from_normalized(
             tuple(zip(starts.tolist(), stops.tolist()))
         )
+
+    def rect_runs(self, rects):
+        """One sorted address array for the whole batch.
+
+        Each distinct rectangle is expanded once; its addresses are
+        keyed by ``rectangle · span + address`` (``span`` one more than
+        the address space, so two rectangles never touch), one sort
+        orders every rectangle at once, and runs split wherever
+        consecutive keys differ by more than one.  Repeated rectangles
+        then share their runs.
+        """
+        index: dict = {}
+        inverse = [index.setdefault(tuple(r), len(index)) for r in rects]
+        r0, r1, c0, c1 = np.array(list(index), dtype=np.int64).reshape(-1, 4).T
+        n = self.n
+        ok = (0 <= r0) & (r0 <= r1) & (r1 <= n) & (0 <= c0) & (c0 <= c1) & (c1 <= n)
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            self._check_rect(*(int(x[bad]) for x in (r0, r1, c0, c1)))
+        width = c1 - c0
+        area = (r1 - r0) * width
+        rect = np.repeat(np.arange(len(area)), area)
+        local = np.arange(len(rect)) - np.repeat(np.cumsum(area) - area, area)
+        rows = r0[rect] + local // width[rect]
+        cols = c0[rect] + local % width[rect]
+        span = self.padded * self.padded + 1
+        spread = self._spread
+        keys = rect * span + ((spread[rows] << 1) | spread[cols])
+        keys.sort()
+        offsets = np.zeros(len(area) + 1, dtype=np.int64)
+        if len(keys):
+            cut = np.flatnonzero(keys[1:] - keys[:-1] > 1)
+            first = np.concatenate(([0], cut + 1))
+            last = np.concatenate((cut, [len(keys) - 1]))
+            owner = keys[first] // span
+            starts = keys[first] - owner * span
+            stops = keys[last] - owner * span + 1
+            np.cumsum(np.bincount(owner, minlength=len(area)), out=offsets[1:])
+        else:
+            starts = stops = keys
+        return gather_runs(starts, stops, offsets, inverse)

@@ -210,6 +210,23 @@ class HierarchicalMachine:
         """
         self.guard = guard
 
+    def unobserved(self) -> bool:
+        """Whether nothing watches this machine's per-event state.
+
+        True when no trace, span profiler, budget guard or ABFT
+        guardian is attached.  Each of those sees individual transfers
+        or scopes, so only an unobserved run may replace its events
+        with a bulk charge: a recursion's charge plan
+        (:func:`repro.sequential.charge_plan.plan_eligible`) or a
+        compiled schedule (:func:`repro.schedule.compiled_session`).
+        """
+        return (
+            self.trace is None
+            and self.profiler is NULL_PROFILER
+            and self.guard is None
+            and self.abft is None
+        )
+
     # -- convenience accessors (fastest level) -------------------------
 
     @property
@@ -521,77 +538,6 @@ class HierarchicalMachine:
             self._scope_depth -= 1
             if self.guard is not None and handle._write_levels:
                 self.guard.check_machine(self)
-
-    def leaf_charge(
-        self,
-        read_ivs: IntervalSet,
-        write_ivs: IntervalSet | None = None,
-        *,
-        write_covered: bool = False,
-    ) -> bool:
-        """Charge a fitting recursion leaf in one shot (batched scopes).
-
-        The batched twin of an ``sc.fits`` scope: when the footprint
-        fits the fastest level, this charges exactly what entering and
-        exiting :meth:`scope` around the leaf computation would — the
-        same newly-fitted levels, the same reads/writes/peaks, one
-        :class:`ScopeEvent` — and returns ``True`` so the caller can
-        compute the leaf directly.  When the footprint does not fit it
-        charges nothing and returns ``False``; the caller falls back
-        to a full :meth:`scope` (which may still charge outer levels)
-        and recursion.  Counts are identical to the element-wise scope
-        path either way; the golden suite pins that.  Each successful
-        leaf counts one :attr:`batch_hits`.
-        """
-        footprint = (
-            read_ivs
-            if write_ivs is None
-            or write_ivs is read_ivs
-            or (write_covered and fastpath_enabled())
-            else (read_ivs | write_ivs)
-        )
-        fwords = footprint.words
-        if fwords > self.fast.capacity:
-            return False
-        self._scope_depth += 1
-        try:
-            fitted: list[MemoryLevel] = []
-            mask = 0
-            for i, level in enumerate(self.levels):
-                if (
-                    level.fitted_scope_depth is None
-                    and fwords <= level.capacity
-                ):
-                    level.fitted_scope_depth = self._scope_depth
-                    level.counters.add_read(
-                        read_ivs.words, read_ivs.messages(cap=level.capacity)
-                    )
-                    level.note_resident(fwords)
-                    fitted.append(level)
-                    mask |= 1 << i
-            self.batch_hits += 1
-            if self.recorder is not None and mask:
-                self.recorder.record_set(read_ivs, False, mask)
-            if self.trace is not None:
-                self.trace.append(
-                    ScopeEvent(footprint, fitted=[l.name for l in fitted])
-                )
-            if self.guard is not None:
-                self.guard.check_machine(self)
-            write = write_ivs is not None and not write_ivs.is_empty()
-            for level in fitted:
-                if write:
-                    level.counters.add_write(
-                        write_ivs.words, write_ivs.messages(cap=level.capacity)
-                    )
-                level.fitted_scope_depth = None
-            if self.recorder is not None and mask and write:
-                self.recorder.record_set(write_ivs, True, mask)
-            if self.guard is not None and fitted:
-                self.guard.check_machine(self)
-        finally:
-            self._scope_depth -= 1
-        return True
 
     # -- compiled replay ---------------------------------------------------
 

@@ -37,7 +37,7 @@ import numpy as np
 from repro.layouts.base import Layout
 from repro.machine.core import HierarchicalMachine
 from repro.util.fastpath import fastpath_enabled
-from repro.util.intervals import IntervalSet, RunBatch, union_all
+from repro.util.intervals import IntervalSet, RunBatch, stack_runs, union_all
 from repro.util.validation import check_square
 
 #: Entry cap on the per-matrix interval memo (dropped wholesale past it).
@@ -134,15 +134,31 @@ class TrackedMatrix:
             is_write=is_write,
         )
 
+    def rect_runs(
+        self, rects: "Sequence[tuple[int, int, int, int]]"
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Global runs of every ``(r0, r1, c0, c1)`` rectangle, stacked.
+
+        ``(starts, stops, offsets)`` as
+        :meth:`~repro.layouts.base.Layout.rect_runs` returns them,
+        shifted to this matrix's base.  Layouts that set
+        :attr:`~repro.layouts.base.Layout.vectorized_runs` build the
+        whole batch at once; on the others each rectangle comes from the
+        :meth:`intervals` memo.
+        """
+        if self.layout.vectorized_runs and fastpath_enabled():
+            starts, stops, offsets = self.layout.rect_runs(rects)
+            return starts + self.base, stops + self.base, offsets
+        return stack_runs([self.intervals(*rect) for rect in rects])
+
     def rect_batch(
         self,
         rects: "Sequence[tuple[int, int, int, int]]",
         is_write: "bool | Sequence[bool]" = False,
     ) -> RunBatch:
-        """One transfer per ``(r0, r1, c0, c1)`` rectangle, in order."""
-        return RunBatch.from_sets(
-            [self.intervals(*rect) for rect in rects], is_write=is_write
-        )
+        """One transfer per ``(r0, r1, c0, c1)`` rectangle, in order
+        (empty rectangles, and their flags, dropped)."""
+        return RunBatch.from_runs(*self.rect_runs(rects), is_write=is_write)
 
     def load_panel(
         self, r0: int, r1: int, c0: int, c1: int, *, peak_extra: int | None = None

@@ -35,7 +35,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.observability.metrics import METRICS
-from repro.observability.spans import NULL_PROFILER
 from repro.schedule.cache import (
     ScheduleCache,
     default_cache,
@@ -121,21 +120,18 @@ def _machine_eligible(machine) -> bool:
     """Can this machine's next run be captured or replayed?
 
     Requires the batched fast path plus a machine no observer is
-    watching and no previous run has touched: traces, span profilers,
-    budget guards and half-finished runs all see per-event state that
-    a bulk replay cannot reproduce, so any of them disables the layer
-    for this run (never breaking their semantics, only the speedup).
+    watching (:meth:`~repro.machine.core.HierarchicalMachine.unobserved`:
+    traces, span profilers, budget guards and ABFT guardians all see
+    per-event state a bulk replay cannot reproduce, and an armed
+    guardian must observe every boundary live to catch an injected
+    silent fault) and no previous run has touched.  Any of them
+    disables the layer for this run (never breaking their semantics,
+    only the speedup).
     """
     return (
         machine.batched
-        and machine.trace is None
-        and machine.profiler is NULL_PROFILER
-        and machine.guard is None
-        # an armed ChecksumGuardian must observe every boundary live:
-        # a bulk replay recomputes the factor without running the
-        # algorithm, so it could mask an injected silent fault
-        and getattr(machine, "abft", None) is None
-        and getattr(machine, "recorder", None) is None
+        and machine.unobserved()
+        and machine.recorder is None
         and machine._scope_depth == 0
         and machine.resident.is_empty()
         and machine.flops == 0

@@ -11,6 +11,13 @@ Theorem 3 gives the bandwidth Θ(mnr/√M + mn + nr + mr) (all four
 size regimes of its proof are exercised in the benches), and
 Claim 3.3 the latency Θ(n³/M^{3/2}) on recursive block storage vs
 Θ(n³/M) on column-major storage.
+
+This scope recursion is the reference charging path.  It serves the
+public kernel and every ``toledo``/``square-recursive`` run that is
+observed, guarded, fault- or ABFT-armed or multi-level; an unobserved
+run on a single-level batched machine walks the same recursion as a
+:class:`~repro.sequential.charge_plan.ChargePlan` and charges it as
+one batch, count-identical to this path.
 """
 
 from __future__ import annotations
@@ -45,21 +52,8 @@ def _rmatmul(C: BlockRef, A: BlockRef, B: BlockRef, sign: float) -> None:
     machine = C.matrix.machine
     m, k = A.shape
     r = B.shape[1]
-    reads = footprint([A, B, C])
-    # Batched leaf vs interpreted scope: see _rsyrk for the contract.
-    if machine.batched:
-        with machine.profiler.span("matmul"):
-            if machine.leaf_charge(reads, C.intervals, write_covered=True):
-                c = C.peek()
-                c += sign * (A.peek() @ B.peek())
-                C.poke(c)
-                machine.add_flops(gemm_flops(m, k, r))
-                return
-            with machine.scope(reads, C.intervals, write_covered=True):
-                _rmatmul_recurse(C, A, B, sign, machine, m, k, r)
-        return
     with machine.profiler.span("matmul"), machine.scope(
-        reads, C.intervals, write_covered=True
+        footprint([A, B, C]), C.intervals, write_covered=True
     ) as sc:
         if sc.fits:
             c = C.peek()
@@ -74,7 +68,7 @@ def _rmatmul_recurse(
     C: BlockRef, A: BlockRef, B: BlockRef, sign: float, machine,
     m: int, k: int, r: int,
 ) -> None:
-    """Split a too-big multiplication (shared by both charge paths)."""
+    """Split a too-big multiplication into smaller scopes."""
     big = max(m, k, r)
     if big == 1:
         raise ModelError(

@@ -11,6 +11,13 @@ than ``2m²k``) is what lets the test suite assert that every
 recursive Cholesky performs *exactly* ``cholesky_flops(n)`` scalar
 operations, i.e. the same arithmetic as the naïve algorithms up to
 reordering (§3.1.3).
+
+This scope recursion is the reference charging path.  It serves the
+public kernel and every ``toledo``/``square-recursive`` run that is
+observed, guarded, fault- or ABFT-armed or multi-level; an unobserved
+run on a single-level batched machine walks the same recursion as a
+:class:`~repro.sequential.charge_plan.ChargePlan` and charges it as
+one batch, count-identical to this path.
 """
 
 from __future__ import annotations
@@ -42,27 +49,8 @@ def rsyrk(C: BlockRef, A: BlockRef) -> None:
 def _rsyrk(C: BlockRef, A: BlockRef) -> None:
     machine = C.matrix.machine
     m, k = A.shape
-    reads = footprint([A, C])
-    # Batched leaf: a fitting subproblem takes one coalesced charge
-    # (a batch hit the schedule recorder captures as a single scope
-    # set) instead of an interpreted context-managed scope.  A
-    # non-fitting subproblem still opens the scope — it may be the
-    # first fit of an *outer* hierarchy level.  Counts are identical
-    # to the element-wise scope path; the goldens pin that.
-    if machine.batched:
-        with machine.profiler.span("syrk"):
-            if machine.leaf_charge(reads, C.intervals, write_covered=True):
-                c = C.peek()
-                a = A.peek()
-                c -= a @ a.T
-                C.poke(c)
-                machine.add_flops(syrk_flops(m, k))
-                return
-            with machine.scope(reads, C.intervals, write_covered=True):
-                _rsyrk_recurse(C, A, machine, m, k)
-        return
     with machine.profiler.span("syrk"), machine.scope(
-        reads, C.intervals, write_covered=True
+        footprint([A, C]), C.intervals, write_covered=True
     ) as sc:
         if sc.fits:
             c = C.peek()
@@ -75,7 +63,7 @@ def _rsyrk(C: BlockRef, A: BlockRef) -> None:
 
 
 def _rsyrk_recurse(C: BlockRef, A: BlockRef, machine, m: int, k: int) -> None:
-    """Split a too-big symmetric update (shared by both charge paths)."""
+    """Split a too-big symmetric update into smaller scopes."""
     if max(m, k) == 1:
         raise ModelError(
             f"fast memory (M={machine.M}) cannot hold a 1x1 "

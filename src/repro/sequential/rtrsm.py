@@ -12,6 +12,13 @@ paper's recurrences (15)–(16):
 on block-contiguous storage.  The implementation generalizes to
 rectangular ``A`` (``m × n``) as the Cholesky recursions need; for
 ``m = n`` it performs exactly the paper's quadrant recursion.
+
+This scope recursion is the reference charging path.  It serves the
+public kernel and every ``toledo``/``square-recursive`` run that is
+observed, guarded, fault- or ABFT-armed or multi-level; an unobserved
+run on a single-level batched machine walks the same recursion as a
+:class:`~repro.sequential.charge_plan.ChargePlan` and charges it as
+one batch, count-identical to this path.
 """
 
 from __future__ import annotations
@@ -41,19 +48,8 @@ def rtrsm(A: BlockRef, U: BlockRef) -> None:
 def _rtrsm(A: BlockRef, U: BlockRef) -> None:
     machine = A.matrix.machine
     m, n = A.shape
-    reads = footprint([A, U])
-    # Batched leaf vs interpreted scope: see _rsyrk for the contract.
-    if machine.batched:
-        with machine.profiler.span("trsm"):
-            if machine.leaf_charge(reads, A.intervals, write_covered=True):
-                A.poke(solve_upper_right(A.peek(), U.peek()))
-                machine.add_flops(trsm_flops(m, n))
-                return
-            with machine.scope(reads, A.intervals, write_covered=True):
-                _rtrsm_recurse(A, U, machine, m, n)
-        return
     with machine.profiler.span("trsm"), machine.scope(
-        reads, A.intervals, write_covered=True
+        footprint([A, U]), A.intervals, write_covered=True
     ) as sc:
         if sc.fits:
             A.poke(solve_upper_right(A.peek(), U.peek()))
@@ -63,7 +59,7 @@ def _rtrsm(A: BlockRef, U: BlockRef) -> None:
 
 
 def _rtrsm_recurse(A: BlockRef, U: BlockRef, machine, m: int, n: int) -> None:
-    """Split a too-big triangular solve (shared by both charge paths)."""
+    """Split a too-big triangular solve into smaller scopes."""
     if m >= n and m > 1:
         # tall A: the two row halves solve independently
         h = split_point(m)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.matrices.tracked import BlockRef, TrackedMatrix
+from repro.sequential.charge_plan import ChargePlan, plan_eligible
 from repro.sequential.flops import cholesky_flops
 from repro.sequential.kernels import dense_cholesky
 from repro.sequential.rsyrk import _rsyrk
@@ -31,9 +32,16 @@ def square_recursive(A: TrackedMatrix) -> np.ndarray:
     """Cache-oblivious recursive Cholesky (Algorithm 6).
 
     Returns the lower factor ``L`` (left in ``A``'s lower triangle;
-    the strictly-upper part of ``A`` is zeroed in the process).
+    the strictly-upper part of ``A`` is zeroed in the process).  A run
+    nothing observes on a single-level batched machine takes its
+    :class:`~repro.sequential.charge_plan.ChargePlan` (one charge for
+    the whole recursion); every other run takes the scope recursion
+    below, the reference the plan is pinned against.
     """
-    _square_rchol(A.whole())
+    if plan_eligible(A.machine):
+        ChargePlan(A).square().run()
+    else:
+        _square_rchol(A.whole())
     A.machine.release_all()
     return A.lower()
 
@@ -53,18 +61,6 @@ def _square_rchol(A: BlockRef) -> None:
 def _square_rchol_body(A: BlockRef, machine, guard) -> None:
     n = A.rows
     ivs = A.intervals
-    # Batched leaf vs interpreted scope: see _rsyrk for the contract.
-    if machine.batched:
-        with machine.profiler.span("chol"):
-            if machine.leaf_charge(ivs, ivs):
-                A.poke(dense_cholesky(A.peek()))
-                machine.add_flops(cholesky_flops(n))
-                if guard is not None:
-                    guard.phase(A.r0, A.r1, A.c0, A.c1)
-                return
-            with machine.scope(ivs, ivs):
-                _square_rchol_recurse(A, n, guard)
-        return
     with machine.profiler.span("chol"), machine.scope(ivs, ivs) as sc:
         if sc.fits:
             A.poke(dense_cholesky(A.peek()))
@@ -76,7 +72,7 @@ def _square_rchol_body(A: BlockRef, machine, guard) -> None:
 
 
 def _square_rchol_recurse(A: BlockRef, n: int, guard=None) -> None:
-    """Quadrant split (shared by both charge paths).
+    """Quadrant split.
 
     n == 1 always fits (footprint of one word, M >= 1), so a
     non-fitting subproblem is guaranteed splittable.

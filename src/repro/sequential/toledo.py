@@ -29,19 +29,26 @@ import numpy as np
 
 from repro.machine.core import ModelError
 from repro.matrices.tracked import BlockRef, TrackedMatrix
+from repro.sequential.charge_plan import ChargePlan, plan_eligible
 from repro.sequential.flops import column_scale_flops
 from repro.sequential.rmatmul import _rmatmul
 from repro.sequential.rsyrk import _rsyrk
 from repro.util.imath import split_point
-from repro.util.intervals import RunBatch
 
 
 def toledo(A: TrackedMatrix) -> np.ndarray:
     """Rectangular recursive Cholesky (Algorithm 5).
 
     Returns the lower factor ``L`` (left in ``A``'s lower triangle).
+    A run nothing observes on a single-level batched machine takes its
+    :class:`~repro.sequential.charge_plan.ChargePlan` (one charge for
+    the whole recursion); every other run takes the scope recursion
+    below, the reference the plan is pinned against.
     """
-    _rect_rchol(A.whole())
+    if plan_eligible(A.machine):
+        ChargePlan(A).toledo().run()
+    else:
+        _rect_rchol(A.whole())
     A.machine.release_all()
     return A.lower()
 
@@ -109,9 +116,6 @@ def _factor_column(A: BlockRef) -> None:
     machine = A.matrix.machine
     m = A.rows
     M = machine.M
-    if machine.batched:
-        _factor_column_batched(A, machine, m, M)
-        return
     with machine.profiler.span("column"):
         if m + 1 <= M:
             col = A.load()
@@ -140,60 +144,6 @@ def _factor_column(A: BlockRef) -> None:
             seg_ref.store(vals)
             seg_ref.release()
         pivot_ref.release()
-
-
-def _factor_column_batched(A: BlockRef, machine, m: int, M: int) -> None:
-    """Batched twin of :func:`_factor_column` — same counts, one batch.
-
-    Issues the identical explicit transfers (same sets, same order,
-    same peaks) through :meth:`~repro.machine.core.HierarchicalMachine.
-    charge_intervals`, so the golden trace/counter equality against
-    the element-wise base case holds while the per-column Python loop
-    collapses into O(#runs) array work that the schedule recorder can
-    capture wholesale.
-    """
-    with machine.profiler.span("column"):
-        ivs = A.intervals
-        if m + 1 <= M:
-            machine.charge_intervals(
-                RunBatch.from_sets([ivs]), peak_extra=ivs.words
-            )
-            col = A.peek()
-            _scale(col, float(col[0, 0]), machine, with_sqrt=True)
-            A.poke(col)
-            machine.charge_intervals(
-                RunBatch.from_sets([ivs], is_write=True), peak_extra=ivs.words
-            )
-            return
-        # column longer than fast memory: stream pivot-pinned segments
-        if M < 2:
-            raise ModelError(f"toledo base case needs M >= 2, got M={M}")
-        seg = M - 1
-        piv_ivs = A.sub(0, 1, 0, 1).intervals
-        machine.charge_intervals(RunBatch.from_sets([piv_ivs]), peak_extra=1)
-        col = A.peek()
-        if col[0, 0] <= 0:
-            raise np.linalg.LinAlgError(
-                "non-positive pivot: matrix is not SPD"
-            )
-        pivot = math.sqrt(float(col[0, 0]))
-        col[0, 0] = pivot
-        machine.add_flops(1)
-        sets = [piv_ivs]
-        flags = [True]
-        for r in range(1, m, seg):
-            re = min(r + seg, m)
-            col[r:re] /= pivot
-            machine.add_flops(re - r)
-            seg_ivs = A.sub(r, re, 0, 1).intervals
-            sets.append(seg_ivs)  # read the segment ...
-            sets.append(seg_ivs)  # ... and write it back scaled
-            flags += [False, True]
-        A.poke(col)
-        machine.charge_intervals(
-            RunBatch.from_sets(sets, is_write=flags),
-            peak_extra=1 + min(seg, m - 1),
-        )
 
 
 def _scale(col: np.ndarray, pivot: float, machine, *, with_sqrt: bool) -> None:

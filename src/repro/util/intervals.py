@@ -344,6 +344,78 @@ def union_all(sets: Sequence[IntervalSet]) -> IntervalSet:
     return IntervalSet(raw)
 
 
+def stack_runs(
+    sets: "Sequence[IntervalSet]",
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Each set's runs, concatenated in order: ``(starts, stops, offsets)``.
+
+    Set ``i`` owns runs ``offsets[i]:offsets[i + 1]``; an empty set owns
+    none but keeps its slot.  This is the array form of a list of sets
+    that :meth:`Layout.rect_runs <repro.layouts.base.Layout.rect_runs>`
+    returns and :meth:`RunBatch.from_runs` consumes.
+    """
+    starts: list[int] = []
+    stops: list[int] = []
+    offsets = [0]
+    for s in sets:
+        for a, b in s.intervals:
+            starts.append(a)
+            stops.append(b)
+        offsets.append(len(starts))
+    return (
+        np.array(starts, dtype=np.int64),
+        np.array(stops, dtype=np.int64),
+        np.array(offsets, dtype=np.int64),
+    )
+
+
+def gather_runs(
+    starts: np.ndarray, stops: np.ndarray, offsets: np.ndarray, ids
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """The runs of sets ``ids`` (any order, repeats allowed), stacked."""
+    ids = np.asarray(ids, dtype=np.int64)
+    lo = offsets[ids]
+    counts = offsets[ids + 1] - lo
+    out = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    idx = np.arange(out[-1], dtype=np.int64) + np.repeat(lo - out[:-1], counts)
+    return starts[idx], stops[idx], out
+
+
+def union_groups(
+    starts: np.ndarray, stops: np.ndarray, offsets: np.ndarray, sizes
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """The union of each group of consecutive stacked sets, stacked.
+
+    Group ``g`` is the next ``sizes[g]`` sets; its union is normalized
+    exactly as :func:`union_all` would normalize it (overlapping and
+    adjacent runs coalesce), while runs of different groups never
+    merge.  One stable sort serves every group: each run is keyed by
+    ``group · span + address``, so the groups stay apart and in order.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ngroups = len(sizes)
+    out = np.zeros(ngroups + 1, dtype=np.int64)
+    if not len(starts):
+        return starts, stops, out
+    run_group = np.repeat(
+        np.repeat(np.arange(ngroups, dtype=np.int64), sizes), np.diff(offsets)
+    )
+    span = int(stops.max()) + 1
+    lo = run_group * span + starts
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    hi = np.maximum.accumulate((run_group * span + stops)[order])
+    new = np.empty(len(lo), dtype=bool)
+    new[0] = True
+    new[1:] = lo[1:] > hi[:-1]
+    first = np.flatnonzero(new)
+    last = np.append(first[1:], len(lo)) - 1
+    group = run_group[order][first]
+    np.cumsum(np.bincount(group, minlength=ngroups), out=out[1:])
+    return lo[first] - group * span, hi[last] - group * span, out
+
+
 class RunBatch:
     """An ordered sequence of per-transfer interval sets, as arrays.
 
@@ -410,26 +482,31 @@ class RunBatch:
         ``is_write`` is a single flag for the whole batch or one flag
         per input set (flags of dropped empty sets are dropped too).
         """
-        uniform = isinstance(is_write, (bool, np.bool_))
-        starts: list[int] = []
-        stops: list[int] = []
-        offsets: list[int] = [0]
-        flags: list[bool] = []
-        for i, s in enumerate(sets):
-            ivs = s.intervals
-            if not ivs:
-                continue
-            for a, b in ivs:
-                starts.append(a)
-                stops.append(b)
-            offsets.append(len(starts))
-            flags.append(bool(is_write) if uniform else bool(is_write[i]))
-        return cls(
-            np.asarray(starts, dtype=np.int64),
-            np.asarray(stops, dtype=np.int64),
-            np.asarray(offsets, dtype=np.int64),
-            np.asarray(flags, dtype=bool),
-        )
+        return cls.from_runs(*stack_runs(sets), is_write=is_write)
+
+    @classmethod
+    def from_runs(
+        cls,
+        starts: np.ndarray,
+        stops: np.ndarray,
+        offsets: np.ndarray,
+        is_write: "bool | Sequence[bool]" = False,
+    ) -> "RunBatch":
+        """Build from stacked per-set runs (as :func:`stack_runs` returns).
+
+        ``is_write`` is one flag for the batch or one per set; empty
+        sets are dropped together with their flags.
+        """
+        offsets = np.asarray(offsets, dtype=np.int64)
+        nsets = len(offsets) - 1
+        flags = np.asarray(is_write, dtype=bool)
+        if flags.ndim == 0:
+            flags = np.full(nsets, bool(flags))
+        keep = offsets[1:] > offsets[:-1]
+        if not keep.all():
+            offsets = np.concatenate((offsets[:1], offsets[1:][keep]))
+            flags = flags[keep]
+        return cls(starts, stops, offsets, flags)
 
     @classmethod
     def from_strided(

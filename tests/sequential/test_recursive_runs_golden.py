@@ -1,0 +1,160 @@
+"""The recursive-run contract: one golden over the cache-oblivious recursions.
+
+``recursive_runs.golden.json`` pins, for ``toledo`` and
+``square-recursive`` on every layout at n ∈ {1, 2, 3, 7, 17, 48}, what a
+plain (unobserved, single-level, batched) run charges.  Per case it
+records the captured :class:`~repro.schedule.TransferSchedule` — the
+SHA-256 and length of each run array (``starts``, ``stops``, ``kinds``,
+``masks``), the per-level totals, the peaks, the flops and the read
+calls — plus the SHA-256 of the factor the algorithm itself computed
+(compilation off, so the digest is the interpreter's numerics, not the
+canonical replay factor).  A case that raises records the exception's
+type and message instead.  ``batch_hits`` is left out: it counts how
+the charges were grouped, which is bookkeeping, not modeled state.
+
+The fast memory sizes sit on the boundaries of each recursion:
+
+* the smallest ``M`` the algorithm accepts, and the one below it (which
+  raises);
+* ``M = n`` and ``n + 1``, where Toledo's top-level column stops
+  streaming in pivot-pinned segments (``m + 1 > M``) and fits whole;
+* ``M = W - 1`` and ``W``, just below and at the first fit of the whole
+  stored matrix (``W`` stored words);
+* ``M = n² + n``, past every fit.
+
+The golden was recorded from the per-node charging path, before the
+whole-recursion charge plans replaced it, so it is the record of what
+that path charged.  Regenerate with ``python -m
+tests.sequential.test_recursive_runs_golden`` only for a deliberate
+change of the modeled counts.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+
+import numpy as np
+import pytest
+
+from repro.layouts import available_layouts, make_layout
+from repro.machine import SequentialMachine
+from repro.matrices.generators import random_spd
+from repro.matrices.tracked import TrackedMatrix
+from repro.schedule import ScheduleRecorder, compile_disabled
+from repro.sequential.registry import run_algorithm
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "recursive_runs.golden.json")
+
+ALGORITHMS = ("toledo", "square-recursive")
+SIZES = (1, 2, 3, 7, 17, 48)
+BLOCK = 4  # tile size of the "blocked" layout
+
+
+def _sha(a: np.ndarray, dtype) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(np.asarray(a, dtype=dtype)).tobytes()
+    ).hexdigest()
+
+
+def _layout(name: str, n: int):
+    return make_layout(name, n, block=BLOCK if name == "blocked" else None)
+
+
+def _run(algorithm: str, layout: str, n: int, M: int) -> dict:
+    """One plain run under capture; the record the golden stores."""
+    machine = SequentialMachine(M)
+    A = TrackedMatrix(random_spd(n, seed=7), _layout(layout, n), machine)
+    recorder = ScheduleRecorder(machine)
+    machine.recorder = recorder
+    try:
+        with compile_disabled():
+            L = run_algorithm(algorithm, A)
+    except Exception as exc:  # noqa: BLE001 - the exception is the record
+        return {"raises": type(exc).__name__, "message": str(exc)}
+    finally:
+        machine.recorder = None
+    schedule = recorder.finalize()
+    assert schedule is not None, "capture self-check failed"
+    return {
+        "nruns": schedule.nruns,
+        "starts": _sha(schedule.starts, "<i8"),
+        "stops": _sha(schedule.stops, "<i8"),
+        "kinds": _sha(schedule.kinds, "|b1"),
+        "masks": _sha(schedule.masks, "<i8"),
+        "totals": [list(t) for t in schedule.totals],
+        "peaks": list(schedule.peaks),
+        "flops": schedule.flops,
+        "read_calls": schedule.read_calls,
+        "factor": _sha(L, "<f8"),
+    }
+
+
+def _smallest_M(algorithm: str, layout: str, n: int) -> int:
+    for M in range(1, n * n + 2):
+        if "raises" not in _run(algorithm, layout, n, M):
+            return M
+    raise AssertionError(f"{algorithm}/{layout}/n={n} fails at every M")
+
+
+def _memory_sizes(algorithm: str, layout: str, n: int) -> list[int]:
+    lo = _smallest_M(algorithm, layout, n)
+    W = _layout(layout, n).rect_words(0, n, 0, n)
+    return sorted(
+        M for M in {lo - 1, lo, n, n + 1, W - 1, W, n * n + n} if M >= 1
+    )
+
+
+def records() -> dict:
+    out = {}
+    for algorithm in ALGORITHMS:
+        for layout in available_layouts():
+            for n in SIZES:
+                for M in _memory_sizes(algorithm, layout, n):
+                    out[f"{algorithm}/{layout}/n={n}/M={M}"] = _run(
+                        algorithm, layout, n, M
+                    )
+    return out
+
+
+def golden_text(recs: dict) -> str:
+    return json.dumps(recs, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.fixture(scope="module")
+def recs():
+    return records()
+
+
+def test_recursive_runs_match_the_golden(recs):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = fh.read()
+    assert golden_text(recs) == golden
+
+
+def test_golden_covers_every_boundary(recs):
+    """Each (algorithm, layout, n) has a raising smallest-M-minus-one
+    case (n ≥ 2) and a case past every fit; Toledo streams a column."""
+    for algorithm in ALGORITHMS:
+        for layout in available_layouts():
+            for n in SIZES:
+                keys = [
+                    k for k in recs
+                    if k.startswith(f"{algorithm}/{layout}/n={n}/")
+                ]
+                Ms = sorted(int(k.rsplit("=", 1)[1]) for k in keys)
+                assert Ms[-1] >= n * n, (algorithm, layout, n)
+                first = recs[f"{algorithm}/{layout}/n={n}/M={Ms[0]}"]
+                if n >= 2:
+                    assert "raises" in first, (algorithm, layout, n)
+                if algorithm == "toledo" and n >= 7:
+                    # M = n streams the top-level column in segments
+                    assert "raises" not in recs[
+                        f"{algorithm}/{layout}/n={n}/M={n}"
+                    ]
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        fh.write(golden_text(records()))

@@ -58,10 +58,16 @@ FAULT_CASES = [
     for algorithm in available_algorithms()
 ]
 
-#: Algorithms whose hot loops issue batched charges (the recursive
-#: algorithms speed up through scope/merge fast paths instead).
+#: Algorithms whose observed runs make batched charges.  An observed
+#: ``toledo`` or ``square-recursive`` run takes the element-wise scope
+#: recursion on both paths, so ``test_paths_agree`` compares one path
+#: for them; their batched path is the charge plan, which only
+#: unobserved runs take, and ``TestChargePlanGolden`` checks it live.
 BATCHING_ALGOS = {"naive-left", "naive-right", "naive-up", "lapack",
                   "lapack-right"}
+
+#: Algorithms whose unobserved batched runs take a charge plan.
+PLAN_ALGOS = ("toledo", "square-recursive")
 
 
 @pytest.fixture(autouse=True)
@@ -156,6 +162,51 @@ class TestSequentialGolden:
         assert counts_s["peak_resident"] == 40
         assert counts_f == counts_s
         assert stream_f == stream_s
+
+
+class TestChargePlanGolden:
+    """The charge plan against the element-wise scope recursion, live.
+
+    A plain batched machine (nothing observes it) runs ``toledo`` and
+    ``square-recursive`` as one planned charge; an element-wise
+    machine runs the scope recursion.  A :class:`ScheduleRecorder` on
+    each captures every charged run: the two recordings must agree run
+    for run (starts, stops, kinds, masks), with equal totals, peaks
+    and flops, and the factors must be bit-identical.
+    """
+
+    @staticmethod
+    def _captured(algorithm, layout, n, M, *, fast):
+        from repro.schedule import ScheduleRecorder, compile_disabled
+
+        set_fastpath(fast)
+        try:
+            machine = SequentialMachine(M, batched=fast)
+            A = TrackedMatrix(
+                random_spd(n, seed=3), make_layout(layout, n), machine
+            )
+            recorder = ScheduleRecorder(machine)
+            machine.recorder = recorder
+            with compile_disabled():
+                L = run_algorithm(algorithm, A)
+        finally:
+            machine.recorder = None
+            set_fastpath(True)
+        return np.asarray(L), recorder.finalize(), machine.batch_hits
+
+    @pytest.mark.parametrize("layout", ["morton", "recursive-packed-hybrid"])
+    @pytest.mark.parametrize("n,M", CONFIGS)
+    @pytest.mark.parametrize("algorithm", PLAN_ALGOS)
+    def test_plan_matches_reference(self, algorithm, n, M, layout):
+        L_p, plan, hits_p = self._captured(algorithm, layout, n, M, fast=True)
+        L_r, ref, hits_r = self._captured(algorithm, layout, n, M, fast=False)
+        assert (hits_p, hits_r) == (1, 0)  # one charge for the whole plan
+        for field in ("starts", "stops", "kinds", "masks"):
+            assert np.array_equal(getattr(plan, field), getattr(ref, field)), field
+        assert plan.totals == ref.totals
+        assert plan.peaks == ref.peaks
+        assert plan.flops == ref.flops
+        assert L_p.tobytes() == L_r.tobytes()
 
 
 class TestCompiledReplayGolden:

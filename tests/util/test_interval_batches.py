@@ -2,9 +2,10 @@
 
 Covers the fast-path constructors the simulator hot loop relies on:
 ``IntervalSet.from_strided`` (closed-form panel footprints),
-``RunBatch`` (struct-of-arrays transfer sequences), and the NumPy
-merge path — each checked against the brute-force element-wise
-construction it replaces.
+``RunBatch`` (struct-of-arrays transfer sequences), the stacked-run
+helpers a charge plan builds its batch with (``stack_runs``,
+``gather_runs``, ``union_groups``), and the NumPy merge path — each
+checked against the brute-force element-wise construction it replaces.
 """
 
 from __future__ import annotations
@@ -19,8 +20,11 @@ from repro.util.intervals import (
     EMPTY,
     IntervalSet,
     RunBatch,
+    gather_runs,
     merge_intervals,
+    stack_runs,
     union_all,
+    union_groups,
 )
 
 
@@ -199,3 +203,60 @@ class TestMergeFastPath:
         assert not fastpath_enabled()
         set_fastpath(True)
         assert fastpath_enabled()
+
+
+def _unstack(runs) -> list:
+    starts, stops, offsets = (np.asarray(a).tolist() for a in runs)
+    return [
+        IntervalSet._from_normalized(tuple(zip(starts[lo:hi], stops[lo:hi])))
+        for lo, hi in zip(offsets, offsets[1:])
+    ]
+
+
+_sets = st.lists(
+    st.lists(st.tuples(st.integers(0, 60), st.integers(0, 8)), max_size=5).map(
+        lambda pairs: IntervalSet((a, a + w) for a, w in pairs)
+    ),
+    max_size=8,
+)
+
+
+class TestStackedRuns:
+    @given(_sets)
+    def test_stack_runs_round_trips(self, sets):
+        assert _unstack(stack_runs(sets)) == sets
+
+    @given(_sets, st.data())
+    def test_gather_runs_picks_sets_in_order(self, sets, data):
+        ids = data.draw(
+            st.lists(st.integers(0, max(len(sets) - 1, 0)), max_size=10)
+            if sets
+            else st.just([])
+        )
+        got = _unstack(gather_runs(*stack_runs(sets), ids))
+        assert got == [sets[i] for i in ids]
+
+    @given(_sets, st.data())
+    def test_union_groups_equals_union_all(self, sets, data):
+        """Overlapping and adjacent runs coalesce inside a group, never
+        across groups; an empty group stays an empty slot."""
+        cuts = sorted(
+            data.draw(st.lists(st.integers(0, len(sets)), max_size=6))
+        )
+        bounds = [0, *cuts, len(sets)]
+        sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+        got = _unstack(union_groups(*stack_runs(sets), sizes))
+        expected = []
+        pos = 0
+        for k in sizes:
+            expected.append(union_all(sets[pos : pos + k]))
+            pos += k
+        assert got == expected
+
+    def test_from_runs_drops_empty_sets_and_their_flags(self):
+        sets = [EMPTY, IntervalSet([(0, 3)]), EMPTY, IntervalSet([(5, 6)])]
+        batch = RunBatch.from_runs(*stack_runs(sets), is_write=[1, 0, 1, 1])
+        assert [(s.intervals, w) for s, w in batch.items()] == [
+            (((0, 3),), False),
+            (((5, 6),), True),
+        ]
