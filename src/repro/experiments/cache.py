@@ -1,28 +1,35 @@
 """Content-addressed on-disk cache for experiment results.
 
-A cache entry is one JSON file per :class:`~repro.experiments.spec.SpecPoint`,
-addressed by ``sha256(point + code version)``:
+A typed view over :class:`~repro.util.store.EntryStore`: one entry per
+:class:`~repro.experiments.spec.SpecPoint` at
+``<cache-dir>/<key[:2]>/<key>.result``, keyed by the SHA-256 of the
+code version plus the point's own key (:meth:`SpecPoint.key`):
 
 * the **point** part means any change to the configuration — n, M,
   seed, params, verify flag — is a different key (spec-change
   invalidation is automatic);
-* the **code version** part is a digest over every ``.py`` source file
-  of the ``repro`` package, so editing any simulator/algorithm code
-  invalidates the whole cache rather than serving stale counters.
+* the **code version** part (:func:`~repro.util.store.code_version`)
+  is a digest over every ``.py`` source file of the ``repro`` package,
+  so editing any simulator/algorithm code invalidates the whole cache
+  rather than serving stale counters.
 
-Layout on disk::
+The store's header line carries the key, the code version and the
+SHA-256 of the payload.  The payload is two lines of canonical JSON:
+the measurement, then ``{"attestation", "point", "wall_time"}`` (plus
+``"producer"`` when a cluster shard wrote it).  ``attestation`` is the
+SHA-256 of the measurement line, so a read checks the stored bytes
+without re-encoding them.  The payload digest already covers every
+byte; the attestation is the check behind it, which a measurement that
+drifted under a re-stamped digest still fails (the "silent storage"
+fault class of ``docs/FAULTS.md``).
 
-    <cache-dir>/<key[:2]>/<key>.json
-
-Each file holds ``{"key", "code_version", "point", "measurement",
-"wall_time", "created", "digest"}``.  Writes are atomic (temp file +
-rename), so a concurrent reader never sees a torn entry.  ``digest`` is
-a SHA-256 over the canonical JSON of the rest of the entry: a reader
-recomputes it on every ``get``, so bit-level corruption (truncated
-file, flipped byte, hand-edited counters) is *detected* rather than
-served — the entry is logged, counted under the ``corrupt`` metric
-label, and treated as a miss, which means the engine recomputes the
-point and the next ``put`` overwrites the damaged file.
+Any damage — a truncated file, a flipped byte, a failed attestation, a
+measurement that is not a mapping — is logged, counted under
+``repro_cache_lookups_total{result="corrupt"}`` and treated as a miss:
+the engine recomputes the point and the next ``put`` overwrites the
+damaged file.  A failed write is logged and dropped (the store's one
+failure policy), so neither damage nor an unwritable directory ever
+costs a run.
 
 The default location is ``$REPRO_CACHE_DIR`` or ``.repro-cache/`` next
 to the repository root.
@@ -32,49 +39,35 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
-import time
-from functools import lru_cache
 
 from repro.experiments.spec import SpecPoint
 from repro.observability.metrics import METRICS
-from repro.util.serialization import atomic_write_json
+from repro.util.store import (
+    CORRUPT,
+    DISK,
+    MEMORY,
+    MISS,
+    EntryStore,
+    canonical_json,
+    code_version,
+)
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-logger = logging.getLogger("repro.experiments.cache")
+#: ``repro_cache_lookups_total`` label of each store outcome (a memory
+#: hit never reaches the disk tier, so it is not counted there).
+_LOOKUP_LABEL = {DISK: "hit", MISS: "miss", CORRUPT: "corrupt"}
 
 
-def entry_digest(entry: dict) -> str:
-    """SHA-256 over the canonical JSON of an entry (sans its digest)."""
-    body = {k: v for k, v in entry.items() if k != "digest"}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def measurement_attestation(measurement) -> str:
+    """The attestation an entry stores for ``measurement``.
 
-
-@lru_cache(maxsize=1)
-def code_version() -> str:
-    """Digest of the ``repro`` package sources (plus its version string).
-
-    Computed once per process; any change to any ``.py`` file under
-    the installed package changes the digest and thereby every cache
-    key.
+    SHA-256 of the measurement's canonical JSON, the line an entry
+    stores it as; :meth:`ResultCache.put` hashes the line it writes
+    and a read the line it reads, so neither encodes twice.
     """
-    import repro
-
-    root = os.path.dirname(os.path.abspath(repro.__file__))
-    h = hashlib.sha256()
-    for dirpath, _dirnames, filenames in sorted(os.walk(root)):
-        for fn in sorted(filenames):
-            if not fn.endswith(".py"):
-                continue
-            path = os.path.join(dirpath, fn)
-            h.update(os.path.relpath(path, root).encode("utf-8"))
-            with open(path, "rb") as fh:
-                h.update(fh.read())
-    h.update(repro.__version__.encode("utf-8"))
-    return h.hexdigest()[:16]
+    return hashlib.sha256(canonical_json(measurement)).hexdigest()
 
 
 def default_cache_dir() -> str:
@@ -102,128 +95,127 @@ class ResultCache:
         invalidation without editing source files.
     """
 
+    #: Capacity of the memory tier of decoded entries (none here).
+    memory_entries = 0
+    #: The producing shard, recorded in every entry this cache writes.
+    producer: "str | None" = None
+
     def __init__(self, directory: str | os.PathLike, *, version: str | None = None):
-        self.directory = str(directory)
-        self.version = version if version is not None else code_version()
-        self.hits = 0
-        self.misses = 0
+        self.store = EntryStore(
+            directory,
+            suffix=".result",
+            name="result",
+            version=version,
+            memory_entries=self.memory_entries,
+        )
 
     @classmethod
     def default(cls) -> "ResultCache":
         """The cache at :func:`default_cache_dir`."""
         return cls(default_cache_dir())
 
+    @property
+    def directory(self) -> str:
+        """Root of the cache tree."""
+        return self.store.directory
+
+    @property
+    def version(self) -> str:
+        """The code-version token mixed into every key."""
+        return self.store.version
+
+    @property
+    def hits(self) -> int:
+        """Lookups served, from memory or disk."""
+        stats = self.store.stats()
+        return stats[MEMORY] + stats[DISK]
+
+    @property
+    def misses(self) -> int:
+        """Lookups that found no entry or a damaged one."""
+        stats = self.store.stats()
+        return stats[MISS] + stats[CORRUPT]
+
     def key_for(self, point: SpecPoint) -> str:
         """Content-address of a point under the current code version."""
-        blob = json.dumps(
-            {"version": self.version, "point": point.to_dict()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return hashlib.sha256((self.version + point.key()).encode("utf-8")).hexdigest()
 
     def path_for(self, point: SpecPoint) -> str:
         """On-disk path the point's entry lives at."""
-        key = self.key_for(point)
-        return os.path.join(self.directory, key[:2], f"{key}.json")
+        return self.store.path(self.key_for(point))
 
     def get(self, point: SpecPoint) -> dict | None:
-        """Load the entry for ``point``; ``None`` (a miss) if absent/corrupt.
+        """The entry for ``point``; ``None`` (a miss) if absent or damaged.
 
-        Every hit is digest-verified: an entry whose stored ``digest``
-        is missing or does not match its recomputed content hash is
-        corrupt (truncation, bit flip, manual edit) and is demoted to a
-        logged miss — the caller recomputes and the write-back
-        overwrites the damaged file.  Corruption never crashes a run.
+        An entry is ``{"measurement", "point", "wall_time",
+        "attestation"}`` plus ``"producer"`` if a shard wrote it.
         """
-        path = self.path_for(point)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-            if not isinstance(entry, dict) or "measurement" not in entry:
-                raise ValueError("malformed cache entry")
-        except FileNotFoundError:
-            self.misses += 1
-            METRICS.counter("repro_cache_lookups_total", result="miss").inc()
-            return None
-        except (OSError, ValueError):
-            self.misses += 1
-            METRICS.counter("repro_cache_lookups_total", result="corrupt").inc()
-            logger.warning(
-                "unreadable cache entry at %s; treating as a miss", path
-            )
-            return None
-        if entry.get("digest") != entry_digest(entry):
-            self.misses += 1
-            METRICS.counter("repro_cache_lookups_total", result="corrupt").inc()
-            logger.warning(
-                "cache entry digest mismatch at %s (corrupt or tampered); "
-                "treating as a miss",
-                path,
-            )
-            return None
-        self.hits += 1
-        METRICS.counter("repro_cache_lookups_total", result="hit").inc()
+        entry, outcome = self.store.get(self.key_for(point), self._decode)
+        self._count(outcome, entry)
         return entry
 
-    def put(
-        self,
-        point: SpecPoint,
-        measurement,
-        wall_time: float,
-        *,
-        extra: dict | None = None,
-    ) -> str:
-        """Atomically store a computed measurement; returns the path.
+    def _decode(self, payload: bytes) -> dict:
+        line, _, rest = payload.partition(b"\n")
+        entry, measurement = json.loads(rest), json.loads(line)
+        if not isinstance(entry, dict) or not isinstance(measurement, dict):
+            self._damaged("torn")
+            raise ValueError("entry holds no measurement mapping")
+        attestation = entry.get("attestation")
+        if attestation is not None and attestation != hashlib.sha256(line).hexdigest():
+            self._damaged("attestation")
+            raise ValueError("measurement fails its attestation")
+        entry["measurement"] = measurement
+        return entry
+
+    def _damaged(self, kind: str) -> None:
+        """Hook for a digest-valid entry the decode rejects (``torn`` or
+        ``attestation``); the store counts and logs it either way."""
+
+    def _count(self, outcome: str, entry: "dict | None") -> None:
+        if outcome in _LOOKUP_LABEL:
+            METRICS.counter(
+                "repro_cache_lookups_total", result=_LOOKUP_LABEL[outcome]
+            ).inc()
+
+    def put(self, point: SpecPoint, measurement, wall_time: float) -> str | None:
+        """Store a computed measurement; returns the path written.
 
         ``measurement`` may be a :class:`~repro.results.Measurement`
         (serialized via ``to_dict``) or an already-serialized mapping.
-        ``extra`` is an optional JSON-ready provenance dict stored
-        verbatim under the entry's ``"extra"`` key (and covered by its
-        digest) — the serving cluster's shared result store records the
-        producing shard there so cross-shard hits are attributable.
+        A write that fails is logged and dropped (``None``): a lost
+        entry costs one recomputation, never the run.
         """
-        path = self.path_for(point)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         serialized = (
             measurement.to_dict()
             if hasattr(measurement, "to_dict")
             else dict(measurement)
         )
+        line = canonical_json(serialized)
         entry = {
-            "key": self.key_for(point),
-            "code_version": self.version,
+            "attestation": hashlib.sha256(line).hexdigest(),
             "point": point.to_dict(),
-            "measurement": serialized,
             "wall_time": float(wall_time),
-            "created": time.time(),
         }
-        if extra:
-            entry["extra"] = dict(extra)
-        entry["digest"] = entry_digest(entry)
-        return atomic_write_json(path, entry, sort_keys=True)
+        if self.producer is not None:
+            entry["producer"] = self.producer
+        payload = line + b"\n" + canonical_json(entry)
+        entry["measurement"] = serialized
+        return self.store.put(self.key_for(point), entry, payload)
 
     def __len__(self) -> int:
-        """Number of entries currently on disk (all versions).
+        """Number of result entries currently on disk (all versions).
 
-        Counts only ``<key[:2]>/<key>.json`` files, so the schedule
-        tier kept at ``<cache-dir>/schedules`` (including entries of
-        its old JSON format) is never counted as results.
+        Only ``<key[:2]>/<key>.result`` files count, so the schedule
+        tier kept at ``<cache-dir>/schedules`` and result entries of
+        older formats are never counted.
         """
-        if not os.path.isdir(self.directory):
-            return 0
-        return sum(
-            name.endswith(".json")
-            for shard in os.scandir(self.directory)
-            if shard.is_dir() and len(shard.name) == 2
-            for name in os.listdir(shard.path)
-        )
+        return len(self.store)
 
 
 __all__ = [
     "ResultCache",
     "code_version",
     "default_cache_dir",
-    "entry_digest",
+    "measurement_attestation",
     "CACHE_DIR_ENV",
 ]

@@ -152,9 +152,17 @@ class SpecPoint:
         )
 
     def key(self) -> str:
-        """Content hash of the point (code version is added by the cache)."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        """Content hash of the point (code version is added by the cache).
+
+        Derived once per point object: the front door routes on it,
+        the trace id and the result key derive from it.
+        """
+        key = self.__dict__.get("_key")
+        if key is None:
+            blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            self.__dict__["_key"] = key  # frozen: bypass __setattr__
+        return key
 
     def label(self) -> str:
         """Short human-readable tag for progress lines."""

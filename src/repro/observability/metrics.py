@@ -20,6 +20,7 @@ name                                  type       labels
 ``repro_cache_lookups_total``         counter    ``result`` (hit/miss/corrupt)
 ``repro_schedule_cache_hits_total``   counter    ``tier`` (memory/disk)
 ``repro_schedule_cache_misses_total``  counter    —
+``repro_store_write_failures_total``  counter    ``store`` (result/schedule)
 ``repro_schedule_events_total``       counter    ``event`` (capture/replay/
                                                  discard/apply-mismatch)
 ``repro_engine_points_total``         counter    ``source`` (cache/computed)

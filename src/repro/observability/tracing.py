@@ -47,7 +47,8 @@ and the Chrome export.  With the inline cluster's shared
 :class:`~repro.serving.clock.ManualClock`, two runs of the same workload
 — at *any* shard count — produce byte-identical :func:`canonical_trace`
 forms.  The canonical form excludes the ``process`` label, the clock
-readings and the placement attributes (:data:`VOLATILE_ATTRS`).
+readings, the placement attributes and the schedule-cache state
+(:data:`VOLATILE_ATTRS`).
 
 Zero cost when disabled
 -----------------------
@@ -76,9 +77,11 @@ ROOT_SPAN = "job"
 
 #: Attribute keys excluded from :func:`canonical_trace`: placement is
 #: configuration (which shard owns a key changes with the ring), not
-#: trace structure, and ``job_id`` comes from a process-global counter
-#: — neither may break cross-run / cross-shard-count determinism.
-VOLATILE_ATTRS = frozenset({"shard", "from_shard", "job_id"})
+#: trace structure, ``job_id`` comes from a process-global counter, and
+#: ``schedule`` (capture/replay/off) depends on what the schedule
+#: cache already holds — none may break cross-run / cross-shard-count
+#: determinism.
+VOLATILE_ATTRS = frozenset({"shard", "from_shard", "job_id", "schedule"})
 
 #: The three simulated counters a job trace attributes (headline fields
 #: of :class:`~repro.results.Measurement`).
@@ -412,7 +415,7 @@ def canonical_trace(trace: SpanProfile) -> "list[dict]":
     across runs and across shard counts: span identity, structure,
     status and simulated counters — everything except which process
     recorded a span (``process``), the wall-clock stamps, and the
-    :data:`VOLATILE_ATTRS` placement attributes.
+    :data:`VOLATILE_ATTRS` placement and schedule-cache attributes.
     """
     out = []
     for r in trace_records(trace):

@@ -6,20 +6,22 @@ capacities and enforcement, algorithm params, fault plan) — plus the
 code version, so editing any simulator or algorithm source invalidates
 every cached schedule rather than replaying stale counts.
 
-Two tiers, mirroring :class:`repro.experiments.cache.ResultCache`:
+:class:`ScheduleCache` is a typed view over
+:class:`~repro.util.store.EntryStore`, the store the result caches use
+too, with two tiers:
 
 * an in-process LRU of decoded :class:`TransferSchedule` objects (the
   hot tier — repeated same-spec jobs on a serving shard hit here);
 * an on-disk tier at ``$REPRO_SCHEDULE_DIR`` or
   ``<cache-root>/schedules``, content-addressed as
-  ``<dir>/<key[:2]>/<key>.sched``: one line of JSON holding the key,
-  the code version and the SHA-256 of the schedule's
-  :meth:`~TransferSchedule.to_bytes` encoding, then that encoding.
-  Writes are atomic, and a load checks the key, the version and the
-  digest of the raw bytes before it decodes anything, then re-runs the
-  schedule's self-check, so corruption demotes to a miss instead of
-  replaying damaged counts.  Entries of the old JSON format
-  (``<key>.json``) are never read.
+  ``<dir>/<key[:2]>/<key>.sched``: the store's header line (the key,
+  the code version and the SHA-256 of the payload), then the
+  schedule's :meth:`~TransferSchedule.to_bytes` encoding as the
+  payload.  The store checks key, version and digest before anything
+  is decoded; the view then decodes and re-runs the schedule's
+  self-check, so damage demotes to a miss instead of replaying damaged
+  counts, and a failed write is logged and dropped.  Entries of the
+  old JSON format (``<key>.json``) are never read.
 
 Every lookup is counted under ``repro_schedule_cache_hits_total``
 (labelled by tier) or ``repro_schedule_cache_misses_total`` so the
@@ -30,14 +32,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import threading
-from collections import OrderedDict
 
 from repro.observability.metrics import METRICS
 from repro.schedule.compiled import ScheduleError, TransferSchedule
-from repro.util.serialization import atomic_write_bytes
+from repro.util.store import (
+    CORRUPT,
+    DISK,
+    MEMORY,
+    MISS,
+    EntryStore,
+    code_version,
+)
 
 SCHEDULE_DIR_ENV = "REPRO_SCHEDULE_DIR"
 
@@ -45,8 +52,6 @@ SCHEDULE_DIR_ENV = "REPRO_SCHEDULE_DIR"
 #: schedule is ~130k runs ≈ 1 MB encoded; the cap keeps pathological
 #: captures from writing cache entries of tens of MB).
 MAX_DISK_RUNS = 2_000_000
-
-logger = logging.getLogger("repro.schedule.cache")
 
 
 def fault_plan_digest(plan) -> str | None:
@@ -84,8 +89,6 @@ def schedule_key(
     schedules stay valid.
     """
     if version is None:
-        from repro.experiments.cache import code_version
-
         version = code_version()
     payload = {
         "version": version,
@@ -121,6 +124,10 @@ def _reject_unknown(obj):
 class ScheduleCache:
     """Two-tier (memory LRU + disk) store of compiled schedules.
 
+    A typed view over :class:`~repro.util.store.EntryStore` whose
+    payload is :meth:`TransferSchedule.to_bytes`; a payload that does
+    not decode or fails the schedule's self-check is damage.
+
     Parameters
     ----------
     directory:
@@ -128,7 +135,7 @@ class ScheduleCache:
         benches use this to isolate runs from ambient disk state).
     version:
         Code-version token recorded in disk entries; defaults to
-        :func:`repro.experiments.cache.code_version`.
+        :func:`repro.util.store.code_version`.
     memory_entries:
         LRU capacity of the in-process tier.
     max_disk_runs:
@@ -143,121 +150,57 @@ class ScheduleCache:
         memory_entries: int = 32,
         max_disk_runs: int = MAX_DISK_RUNS,
     ) -> None:
-        self.directory = str(directory) if directory is not None else None
-        self._version = version
-        self.memory_entries = int(memory_entries)
+        self.store = EntryStore(
+            directory,
+            suffix=".sched",
+            name="schedule",
+            version=version,
+            memory_entries=memory_entries,
+        )
         self.max_disk_runs = int(max_disk_runs)
-        self._memory: "OrderedDict[str, TransferSchedule]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits_memory = 0
-        self.hits_disk = 0
-        self.misses = 0
+
+    @property
+    def directory(self) -> str | None:
+        """Disk tier root (``None``: memory only)."""
+        return self.store.directory
 
     @property
     def version(self) -> str:
         """The code-version token mixed into disk entries (lazy)."""
-        if self._version is None:
-            from repro.experiments.cache import code_version
-
-            self._version = code_version()
-        return self._version
-
-    def _path_for(self, key: str) -> str | None:
-        if self.directory is None:
-            return None
-        return os.path.join(self.directory, key[:2], f"{key}.sched")
+        return self.store.version
 
     def get(self, key: str) -> TransferSchedule | None:
         """Look up a compiled schedule; ``None`` on miss or corruption."""
-        with self._lock:
-            sched = self._memory.get(key)
-            if sched is not None:
-                self._memory.move_to_end(key)
-                self.hits_memory += 1
-                METRICS.counter(
-                    "repro_schedule_cache_hits_total", tier="memory"
-                ).inc()
-                return sched
-        sched = self._load_disk(key)
-        if sched is not None:
-            with self._lock:
-                self._remember(key, sched)
-                self.hits_disk += 1
-            METRICS.counter(
-                "repro_schedule_cache_hits_total", tier="disk"
-            ).inc()
-            return sched
-        with self._lock:
-            self.misses += 1
-        METRICS.counter("repro_schedule_cache_misses_total").inc()
-        return None
-
-    def _load_disk(self, key: str) -> TransferSchedule | None:
-        path = self._path_for(key)
-        if path is None:
-            return None
-        try:
-            with open(path, "rb") as fh:
-                head, _, blob = fh.read().partition(b"\n")
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            logger.warning("unreadable schedule entry %s: %s", path, exc)
-            return None
-        try:
-            entry = json.loads(head)
-            if (
-                not isinstance(entry, dict)
-                or entry.get("key") != key
-                or entry.get("version") != self.version
-            ):
-                raise ValueError("malformed or stale schedule entry")
-            if hashlib.sha256(blob).hexdigest() != entry.get("digest"):
-                raise ValueError("schedule entry digest mismatch")
-            sched = TransferSchedule.from_bytes(blob)
-            sched.verify()
-            return sched
-        except (ValueError, ScheduleError) as exc:
-            logger.warning("corrupt schedule entry %s: %s", path, exc)
-            return None
+        sched, outcome = self.store.get(key, _decode)
+        if sched is None:
+            METRICS.counter("repro_schedule_cache_misses_total").inc()
+        else:
+            METRICS.counter("repro_schedule_cache_hits_total", tier=outcome).inc()
+        return sched
 
     def put(self, key: str, schedule: TransferSchedule) -> None:
         """Store a schedule in both tiers (disk only below the run cap)."""
-        with self._lock:
-            self._remember(key, schedule)
-        path = self._path_for(key)
-        if path is None or schedule.nruns > self.max_disk_runs:
-            return
-        blob = schedule.to_bytes()
-        head = json.dumps(
-            {
-                "key": key,
-                "version": self.version,
-                "digest": hashlib.sha256(blob).hexdigest(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        try:
-            atomic_write_bytes(path, head.encode("utf-8") + b"\n" + blob)
-        except OSError as exc:  # cache dir unwritable: degrade, don't fail
-            logger.warning("cannot persist schedule %s: %s", path, exc)
-
-    def _remember(self, key: str, schedule: TransferSchedule) -> None:
-        self._memory[key] = schedule
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
+        disk = self.directory is not None and schedule.nruns <= self.max_disk_runs
+        self.store.put(key, schedule, schedule.to_bytes() if disk else None)
 
     def stats(self) -> dict:
         """Hit/miss counters for summaries and engine reports."""
-        with self._lock:
-            return {
-                "hits_memory": self.hits_memory,
-                "hits_disk": self.hits_disk,
-                "misses": self.misses,
-                "entries_memory": len(self._memory),
-            }
+        stats = self.store.stats()
+        return {
+            "hits_memory": stats[MEMORY],
+            "hits_disk": stats[DISK],
+            "misses": stats[MISS] + stats[CORRUPT],
+            "entries_memory": stats["entries"],
+        }
+
+
+def _decode(blob: bytes) -> TransferSchedule:
+    try:
+        sched = TransferSchedule.from_bytes(blob)
+        sched.verify()
+    except ScheduleError as exc:
+        raise ValueError(str(exc)) from exc
+    return sched
 
 
 _default_cache: ScheduleCache | None = None

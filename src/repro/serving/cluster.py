@@ -214,12 +214,9 @@ def _shard_process_main(conn, name: str, config: dict) -> None:
     """
     from repro.util.validation import ValidationError
 
-    store = SharedResultStore(
-        config["store_dir"],
-        version=config.get("store_version"),
-        memory_capacity=config.get("memory_capacity", 512),
-    )
-    view = store.view(name)
+    view = SharedResultStore(
+        config["store_dir"], version=config.get("store_version")
+    ).view(name)
     budget_wire = config.get("default_budget")
     from repro.serving.budget import Budget
 
@@ -526,10 +523,9 @@ class ServingCluster:
     / default_budget:
         Per-shard :class:`FactorizationService` configuration (inline
         shards always run ``workers=0``).
-    store / store_dir / memory_capacity:
-        The shared result store (an instance, or a directory to build
-        one in; default a fresh temp directory cleaned up at
-        :meth:`stop`).
+    store_dir:
+        Directory of the shared result store (default a fresh temp
+        directory cleaned up at :meth:`stop`).
     replicas / spill_depth:
         Ring geometry, and the bounded-load threshold: when the
         owner's outstanding backlog reaches ``spill_depth`` and its
@@ -610,9 +606,7 @@ class ServingCluster:
         half_open_probes: int = 1,
         canary_n: int = 16,
         default_budget=None,
-        store: "SharedResultStore | None" = None,
         store_dir: "str | None" = None,
-        memory_capacity: int = 512,
         replicas: int = 64,
         spill_depth: "int | None" = None,
         clock: "Clock | None" = None,
@@ -690,13 +684,11 @@ class ServingCluster:
         self._traces: "dict[str, SpanProfile]" = {}
         self._trace_capacity = 4096
         self._owns_store_dir: "str | None" = None
-        if store is None:
-            directory = store_dir
-            if directory is None:
-                directory = tempfile.mkdtemp(prefix="repro-cluster-store-")
-                self._owns_store_dir = directory
-            store = SharedResultStore(directory, memory_capacity=memory_capacity)
-        self.store = store
+        if store_dir is None:
+            store_dir = self._owns_store_dir = tempfile.mkdtemp(
+                prefix="repro-cluster-store-"
+            )
+        self.store = SharedResultStore(store_dir)
         self.health_dir = health_dir
         if health_dir:
             os.makedirs(health_dir, exist_ok=True)
@@ -732,8 +724,7 @@ class ServingCluster:
             self._ctx = multiprocessing.get_context("spawn")
             self._shard_config = {
                 "store_dir": self.store.directory,
-                "store_version": self.store.cache.version,
-                "memory_capacity": memory_capacity,
+                "store_version": self.store.version,
                 "workers": workers_per_shard,
                 "queue_capacity": queue_capacity,
                 "retries": retries,

@@ -1,9 +1,11 @@
 """The cluster's shared, content-addressed result store.
 
-Layered directly over the experiment cache
-(:class:`~repro.experiments.cache.ResultCache`): one on-disk directory
-shared by every shard, plus one small in-memory "warm" tier per shard.
-A lookup walks the tiers cheapest-first:
+One on-disk directory shared by every shard, plus one small in-memory
+"warm" tier per shard.  Each shard reads and writes through a
+:class:`ShardStoreView`: a :class:`~repro.experiments.cache.ResultCache`
+with a 512-entry memory tier, the shard recorded as each entry's
+producer, and per-tier accounting.  A lookup walks the tiers
+cheapest-first:
 
 ``memory``
     The shard's own bounded LRU of recently served entries.  The
@@ -21,18 +23,27 @@ A lookup walks the tiers cheapest-first:
     The on-disk store, entry produced by this shard earlier (e.g.
     evicted from the memory tier, or a previous process incarnation).
 
-Writes go through :meth:`ResultCache.put`'s atomic temp-file +
-``os.replace`` discipline with the producing shard recorded in the
-entry's ``extra`` provenance, so concurrent shard processes never read
-torn entries and every cross-shard hit is attributable.  Disk-tier
-integrity (digest verification, corrupt-entry demotion to a miss) is
-inherited from the cache; the view adds a structural check on top — an
-entry whose measurement payload is not a mapping is counted as torn
-and served as a miss, and the recompute's write-back heals the damaged
-file in place.  A torn or truncated entry therefore costs one
-recomputation, never a crash and never a poisoned response.
+Entries are the result cache's (see :mod:`repro.experiments.cache`)
+and the disk tier is its :class:`~repro.util.store.EntryStore`: atomic,
+fsync'd writes, so concurrent shard processes never read torn entries;
+key, version and digest checked before a byte is decoded; a failed
+write logged and dropped, so a store write never costs a job its
+terminal response.  Two damage classes get a counter of their own:
 
-A :class:`ShardStoreView` duck-types the ``get(point)`` /
+* a digest-valid entry whose measurement is not a mapping (e.g.
+  written by a foreign tool against the same key) counts under
+  ``repro_cluster_store_torn_total``;
+* a measurement that drifted under a re-stamped digest fails its
+  attestation and counts under
+  ``repro_cluster_store_attestation_failures_total`` — the store-tier
+  leg of the ABFT end-to-end guarantee.
+
+Either way, as for any damage, the lookup is a miss: the shard
+recomputes, and the write-back heals the entry in place.  A damaged
+entry therefore costs one recomputation, never a crash and never a
+poisoned response.
+
+A :class:`ShardStoreView` is the ``get(point)`` /
 ``put(point, measurement, wall_time)`` interface
 :class:`~repro.serving.service.FactorizationService` expects from its
 ``cache`` parameter, so a shard's service needs no cluster-specific
@@ -41,36 +52,25 @@ code path.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
-from collections import OrderedDict
 from typing import Callable
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.spec import SpecPoint
+from repro.experiments.cache import measurement_attestation  # noqa: F401 - re-exported
 from repro.observability.metrics import METRICS
-
-
-def measurement_attestation(measurement) -> str:
-    """Content digest of a serialized measurement payload.
-
-    Stamped into an entry's ``extra`` provenance at write time and
-    recomputed at read time: a stored payload whose bits drifted while
-    its structural envelope still validates is caught as a counted
-    miss instead of being served, and the recompute's write-back heals
-    the entry — the store-tier leg of the ABFT end-to-end guarantee.
-    """
-    blob = json.dumps(
-        measurement, sort_keys=True, separators=(",", ":"), default=str
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+from repro.util.store import DISK, MEMORY, code_version
 
 #: Lookup outcome tiers (metric label values, cheapest first).
 TIER_MEMORY = "memory"
 TIER_SHARED = "shared"
 TIER_DISK = "disk"
 TIER_MISS = "miss"
+
+#: Counter of each damage class a shard view's decode rejects.
+_DAMAGE_METRIC = {
+    "torn": "repro_cluster_store_torn_total",
+    "attestation": "repro_cluster_store_attestation_failures_total",
+}
 
 
 class SharedResultStore:
@@ -84,72 +84,39 @@ class SharedResultStore:
         results immediately after the atomic rename.
     version:
         Code-version token, defaulting to the package digest (see
-        :func:`repro.experiments.cache.code_version`); tests inject
-        fixed tokens.
-    memory_capacity:
-        Per-shard warm-tier bound (entries, LRU-evicted).
+        :func:`repro.util.store.code_version`); tests inject fixed
+        tokens.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        *,
-        version: "str | None" = None,
-        memory_capacity: int = 512,
-    ) -> None:
-        self.cache = ResultCache(directory, version=version)
-        self.memory_capacity = int(memory_capacity)
+    def __init__(self, directory: str, *, version: "str | None" = None) -> None:
+        self.directory = str(directory)
+        self.version = version if version is not None else code_version()
         self._views: "dict[str, ShardStoreView]" = {}
-
-    @property
-    def directory(self) -> str:
-        """The shared on-disk root."""
-        return self.cache.directory
 
     def view(self, shard_id: str) -> "ShardStoreView":
         """The (memoized) view shard ``shard_id`` reads/writes through."""
         if shard_id not in self._views:
             self._views[shard_id] = ShardStoreView(
-                self, shard_id, memory_capacity=self.memory_capacity
+                self.directory, shard_id, version=self.version
             )
         return self._views[shard_id]
 
-    def key_for(self, point: SpecPoint) -> str:
-        """Content-address of a point (shared-store coordinates)."""
-        return self.cache.key_for(point)
 
-    def stats(self) -> dict:
-        """Aggregate lookup stats over every view this process holds.
-
-        Cluster-level totals come from summing each shard's own stats
-        (reported through its health payload in process mode, since a
-        child's views live in the child).
-        """
-        totals = {
-            TIER_MEMORY: 0, TIER_SHARED: 0, TIER_DISK: 0, TIER_MISS: 0,
-            "puts": 0,
-        }
-        for view in self._views.values():
-            for k, v in view.stats().items():
-                totals[k] += v
-        return totals
-
-
-class ShardStoreView:
+class ShardStoreView(ResultCache):
     """One shard's handle on the shared store (memory tier + provenance).
 
     Thread-safe: a shard's worker threads share one view.
     """
 
+    memory_entries = 512
+
     def __init__(
-        self, store: SharedResultStore, shard_id: str, *, memory_capacity: int
+        self, directory: str, shard_id: str, *, version: "str | None" = None
     ) -> None:
-        self.store = store
-        self.shard_id = str(shard_id)
-        self.memory_capacity = int(memory_capacity)
-        self._memory: "OrderedDict[str, dict]" = OrderedDict()
+        super().__init__(directory, version=version)
+        self.shard_id = self.producer = str(shard_id)
         self._lock = threading.Lock()
-        self._counts = {
+        self._tiers = {
             TIER_MEMORY: 0, TIER_SHARED: 0, TIER_DISK: 0, TIER_MISS: 0,
             "puts": 0,
         }
@@ -158,102 +125,37 @@ class ShardStoreView:
         #: costs nothing).
         self.on_lookup: "Callable[[str], None] | None" = None
 
-    def _count(self, tier: str) -> None:
+    def _damaged(self, kind: str) -> None:
+        METRICS.counter(_DAMAGE_METRIC[kind], shard=self.shard_id).inc()
+
+    def _count(self, outcome: str, entry: "dict | None") -> None:
+        super()._count(outcome, entry)
+        if outcome == MEMORY:
+            tier = TIER_MEMORY
+        elif outcome == DISK:
+            own = entry.get("producer") == self.shard_id
+            tier = TIER_DISK if own else TIER_SHARED
+        else:
+            tier = TIER_MISS
         with self._lock:
-            self._counts[tier] += 1
+            self._tiers[tier] += 1
         METRICS.counter(
-            "repro_cluster_store_lookups_total",
-            shard=self.shard_id,
-            tier=tier,
+            "repro_cluster_store_lookups_total", shard=self.shard_id, tier=tier
         ).inc()
         if self.on_lookup is not None:
             self.on_lookup(tier)
 
-    def _remember(self, key: str, entry: dict) -> None:
+    def put(self, point, measurement, wall_time: float) -> "str | None":
+        """Write through to disk and the memory tier (see
+        :meth:`ResultCache.put`), counted under ``puts``."""
         with self._lock:
-            self._memory[key] = entry
-            self._memory.move_to_end(key)
-            while len(self._memory) > self.memory_capacity:
-                self._memory.popitem(last=False)
-
-    def get(self, point: SpecPoint) -> "dict | None":
-        """Tiered lookup; ``None`` is a miss (caller simulates)."""
-        key = self.store.key_for(point)
-        with self._lock:
-            entry = self._memory.get(key)
-            if entry is not None:
-                self._memory.move_to_end(key)
-        if entry is not None:
-            self._count(TIER_MEMORY)
-            return entry
-        entry = self.store.cache.get(point)
-        if entry is not None and not isinstance(entry.get("measurement"), dict):
-            # digest-valid but structurally unusable (e.g. written by a
-            # foreign tool): torn for our purposes — recompute and let
-            # the write-back heal the file
-            METRICS.counter(
-                "repro_cluster_store_torn_total", shard=self.shard_id
-            ).inc()
-            entry = None
-        if entry is not None:
-            att = (entry.get("extra") or {}).get("attestation")
-            if att is not None and att != measurement_attestation(
-                entry["measurement"]
-            ):
-                # digest-valid envelope, silently drifted payload:
-                # counted as a failed attestation, served as a miss,
-                # healed by the recompute's write-back
-                METRICS.counter(
-                    "repro_cluster_store_attestation_failures_total",
-                    shard=self.shard_id,
-                ).inc()
-                entry = None
-        if entry is None:
-            self._count(TIER_MISS)
-            return None
-        producer = (entry.get("extra") or {}).get("producer")
-        tier = TIER_DISK if producer == self.shard_id else TIER_SHARED
-        self._count(tier)
-        self._remember(key, entry)
-        return entry
-
-    def put(self, point: SpecPoint, measurement, wall_time: float) -> str:
-        """Write through to disk (atomic) and the memory tier.
-
-        The entry's provenance records the producing shard *and* an
-        attestation digest of the serialized payload, which every
-        later read re-verifies.
-        """
-        serialized = (
-            measurement.to_dict()
-            if hasattr(measurement, "to_dict")
-            else dict(measurement)
-        )
-        extra = {
-            "producer": self.shard_id,
-            "attestation": measurement_attestation(serialized),
-        }
-        path = self.store.cache.put(
-            point,
-            measurement,
-            wall_time,
-            extra=extra,
-        )
-        self._remember(
-            self.store.key_for(point),
-            {
-                "measurement": serialized,
-                "extra": extra,
-            },
-        )
-        with self._lock:
-            self._counts["puts"] += 1
-        return path
+            self._tiers["puts"] += 1
+        return super().put(point, measurement, wall_time)
 
     def stats(self) -> dict:
         """Lookup counts by tier plus writes (health payload)."""
         with self._lock:
-            return dict(self._counts)
+            return dict(self._tiers)
 
 
 __all__ = [

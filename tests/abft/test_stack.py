@@ -9,7 +9,6 @@ and the wire protocol carries a ``verified`` flag for protected jobs
 
 import json
 
-from repro.experiments.cache import entry_digest
 from repro.observability.metrics import METRICS
 from repro.serving.api import (
     SCHEMA_VERSION,
@@ -23,6 +22,7 @@ from repro.serving.store import (
     measurement_attestation,
 )
 from repro.serving.workloads import repeated_spec_workload
+from tests.store_entries import read_entry, write_entry
 
 MEASUREMENT = {"words": 123.0, "messages": 4.0, "flops": 7.0}
 
@@ -40,11 +40,9 @@ class TestStoreAttestation:
         # flip one stored value but re-stamp the *entry* digest, the
         # attack the envelope check cannot see; only the measurement
         # attestation catches it
-        entry = json.load(open(path, encoding="utf-8"))
-        entry["measurement"]["words"] = 9999.0
-        entry["digest"] = entry_digest(entry)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True)
+        _, measurement, meta = read_entry(path)
+        measurement["words"] = 9999.0
+        write_entry(path, measurement, meta)
 
         before = (
             METRICS.value(
@@ -52,6 +50,9 @@ class TestStoreAttestation:
                 shard="shard-9",
             )
             or 0
+        )
+        corrupt = (
+            METRICS.value("repro_cache_lookups_total", result="corrupt") or 0
         )
         reader = SharedResultStore(
             store.directory, version="test"
@@ -62,6 +63,9 @@ class TestStoreAttestation:
             "repro_cluster_store_attestation_failures_total", shard="shard-9"
         )
         assert after == before + 1
+        assert METRICS.value(
+            "repro_cache_lookups_total", result="corrupt"
+        ) == corrupt + 1
 
         # the recompute's write-back heals the entry
         reader.put(point, MEASUREMENT, wall_time=0.5)
@@ -83,11 +87,9 @@ class TestStoreAttestation:
         store = SharedResultStore(str(tmp_path / "store"), version="test")
         point = _point()
         path = store.view("shard-0").put(point, MEASUREMENT, wall_time=0.5)
-        entry = json.load(open(path, encoding="utf-8"))
-        del entry["extra"]["attestation"]
-        entry["digest"] = entry_digest(entry)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True)
+        _, measurement, meta = read_entry(path)
+        del meta["attestation"]
+        write_entry(path, measurement, meta)
         reader = SharedResultStore(
             store.directory, version="test"
         ).view("shard-3")

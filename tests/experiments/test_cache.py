@@ -1,11 +1,10 @@
 """Content-addressed result cache: round trips, misses, invalidation."""
 
-import json
-
 import pytest
 
 from repro.experiments import ExperimentSpec, ResultCache, code_version
 from repro.experiments.engine import execute_point
+from tests.store_entries import read_entry
 
 
 @pytest.fixture()
@@ -83,8 +82,8 @@ class TestLayout:
         cache.put(point, measurement, dt)
         path = Path(cache.path_for(point))
         assert path.parent.name == cache.key_for(point)[:2]
-        entry = json.loads(path.read_text())
-        assert entry["point"] == point.to_dict()
+        _, _, meta = read_entry(path)
+        assert meta["point"] == point.to_dict()
 
     def test_schedule_tier_does_not_count_as_results(self, tmp_path, point):
         """The default schedule tier lives at ``<cache-root>/schedules``;

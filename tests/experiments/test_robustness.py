@@ -1,12 +1,12 @@
 """Hardened engine + cache: corruption, salvage, retries, timeouts."""
 
+import hashlib
 import json
 import time
 
 import pytest
 
 from repro.experiments import ExperimentSpec, ResultCache
-from repro.experiments.cache import entry_digest
 from repro.experiments.engine import (
     ExperimentEngine,
     execute_point,
@@ -14,6 +14,7 @@ from repro.experiments.engine import (
 )
 from repro.faults import FaultPlan
 from repro.observability.metrics import METRICS
+from tests.store_entries import read_entry
 
 
 @pytest.fixture()
@@ -40,16 +41,23 @@ class TestCacheCorruption:
 
     def test_entries_carry_a_digest(self, cache, point):
         self._seed_entry(cache, point)
-        entry = json.load(open(cache.path_for(point)))
-        assert entry["digest"] == entry_digest(entry)
+        path = cache.path_for(point)
+        payload = open(path, "rb").read().partition(b"\n")[2]
+        header, _, meta = read_entry(path)
+        assert header["digest"] == hashlib.sha256(payload).hexdigest()
+        line = payload.partition(b"\n")[0]
+        assert meta["attestation"] == hashlib.sha256(line).hexdigest()
 
     def test_tampered_counter_is_a_miss(self, cache, point, caplog):
         self._seed_entry(cache, point)
         path = cache.path_for(point)
-        entry = json.load(open(path))
-        entry["measurement"]["words"] += 1  # one flipped number
-        json.dump(entry, open(path, "w"))
-        with caplog.at_level("WARNING", logger="repro.experiments.cache"):
+        blob = open(path, "rb").read()
+        words = b'"words":'
+        at = blob.index(words) + len(words)
+        # one flipped digit of the stored counter, header left as written
+        digit = b"1" if blob[at:at + 1] != b"1" else b"2"
+        open(path, "wb").write(blob[:at] + digit + blob[at + 1:])
+        with caplog.at_level("WARNING", logger="repro.util.store"):
             assert cache.get(point) is None
         assert "digest mismatch" in caplog.text
         assert cache.misses == 1
@@ -64,9 +72,10 @@ class TestCacheCorruption:
     def test_legacy_entry_without_digest_is_a_miss(self, cache, point):
         self._seed_entry(cache, point)
         path = cache.path_for(point)
-        entry = json.load(open(path))
-        del entry["digest"]
-        json.dump(entry, open(path, "w"))
+        head, _, payload = open(path, "rb").read().partition(b"\n")
+        header = json.loads(head)
+        del header["digest"]
+        open(path, "wb").write(json.dumps(header).encode() + b"\n" + payload)
         assert cache.get(point) is None
 
     def test_corruption_metric_incremented(self, cache, point):
@@ -89,8 +98,24 @@ class TestCacheCorruption:
         redo = run_experiment(spec, cache=cache_dir)
         assert redo.cache_misses == 1  # corruption demoted it to a miss
         assert redo.measurements[0].to_dict() == good.to_dict()
-        fixed = json.load(open(path))  # the write-back healed the file
-        assert fixed["digest"] == entry_digest(fixed)
+        # the write-back healed the file: a fresh reader hits it
+        assert ResultCache(cache_dir).get(spec.points[0]) is not None
+        _, measurement, _ = read_entry(path)
+        assert measurement == good.to_dict()
+
+    def test_unwritable_cache_still_returns_every_point(self, tmp_path):
+        """A failed write is logged and dropped, never raised: the sweep
+        returns every point it computed."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        spec = ExperimentSpec.sequential(
+            "t", algorithms=["naive-left", "lapack"], ns=[8], Ms=[64]
+        )
+        engine = ExperimentEngine(cache=ResultCache(blocker / "cache"))
+        result = engine.run(spec)
+        assert result.failures == []
+        assert len(result.measurements) == len(spec.points) == 2
+        assert result.cache_misses == 2
 
 
 class TestSalvage:

@@ -9,11 +9,17 @@ and any code change (version token) must invalidate everything.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import ResultCache
+from repro.experiments.engine import execute_point
+from repro.experiments.spec import SpecPoint
 from repro.faults.plan import FaultPlan
 from repro.layouts import make_layout
 from repro.machine import SequentialMachine
@@ -27,6 +33,7 @@ from repro.schedule import (
     set_default_cache,
 )
 from repro.sequential.registry import run_algorithm
+from repro.serving.store import SharedResultStore
 
 # One run shape, drawn coordinate-wise.  ``block`` only matters for
 # the blocked layout; the fault seed ``None`` means fault-free.
@@ -212,18 +219,88 @@ def captured_schedule(directory) -> TransferSchedule:
     return ScheduleCache(directory, version="v").get(path.stem)
 
 
-class TestDamagedEntries:
-    """Any damage to a disk entry reads back as a miss or as the intact
-    schedule, never as an exception, and the next ``put`` heals it."""
+class ScheduleView:
+    """Adapter giving every cache view one put/read/path shape."""
 
     KEY = "fe" + "0" * 62
 
-    def _check(self, directory, schedule, stride):
-        ScheduleCache(directory, version="v").put(self.KEY, schedule)
-        path = directory / self.KEY[:2] / f"{self.KEY}.sched"
+    def fresh(self, directory):
+        return ScheduleCache(directory, version="v")
+
+    def put(self, directory, value):
+        self.fresh(directory).put(self.KEY, value)
+
+    def read(self, directory):
+        got = self.fresh(directory).get(self.KEY)
+        return None if got is None else got.digest()
+
+    def path(self, directory):
+        return directory / self.KEY[:2] / f"{self.KEY}.sched"
+
+    def want(self, value):
+        return value.digest()
+
+    def tiny(self, tmp_path):
+        return tiny_schedule()
+
+    def captured(self, tmp_path):
+        schedule = captured_schedule(tmp_path / "capture")
+        assert schedule.nruns > 100
+        return schedule
+
+
+class ResultView(ScheduleView):
+    POINT = SpecPoint(
+        kind="sequential", algorithm="naive-left", layout="column-major",
+        n=8, M=64, seed=0,
+    )
+
+    def fresh(self, directory):
+        return ResultCache(directory, version="v")
+
+    def put(self, directory, value):
+        self.fresh(directory).put(self.POINT, value, 0.5)
+
+    def read(self, directory):
+        got = self.fresh(directory).get(self.POINT)
+        return None if got is None else got["measurement"]
+
+    def path(self, directory):
+        return Path(self.fresh(directory).path_for(self.POINT))
+
+    def want(self, value):
+        return json.loads(json.dumps(value))
+
+    def tiny(self, tmp_path):
+        return {"words": 123.0, "messages": 4.0, "flops": 7.0}
+
+    def captured(self, tmp_path):
+        return execute_point(self.POINT)[0].to_dict()
+
+
+class ShardView(ResultView):
+    def fresh(self, directory):
+        return SharedResultStore(str(directory), version="v").view("shard-0")
+
+
+@pytest.fixture(params=[ScheduleView, ResultView, ShardView],
+                ids=["sched", "result", "shard"])
+def view(request):
+    return request.param()
+
+
+class TestDamagedEntries:
+    """Any damage to a disk entry reads back as a miss or as the intact
+    value, never as an exception, and the next ``put`` heals it — for
+    every view over the one entry store."""
+
+    def _check(self, view, directory, value, stride):
+        view.put(directory, value)
+        path = view.path(directory)
         intact = path.read_bytes()
-        want = schedule.digest()
-        # every byte of both header lines, then a stride through the arrays
+        want = view.want(value)
+        # every byte of the first two lines (the store's header and the
+        # payload's own head), then a stride through the rest
         body = intact.index(b"\n", intact.index(b"\n") + 1) + 1
         damaged = []
         for offset in [*range(body), *range(body, len(intact), stride)]:
@@ -234,17 +311,15 @@ class TestDamagedEntries:
                 damaged.append(bytes(flipped))
         for data in damaged:
             path.write_bytes(data)
-            got = ScheduleCache(directory, version="v").get(self.KEY)
-            assert got is None or got.digest() == want
-        ScheduleCache(directory, version="v").put(self.KEY, schedule)
+            got = view.read(directory)
+            assert got is None or got == want
+        view.put(directory, value)
         assert path.read_bytes() == intact
-        healed = ScheduleCache(directory, version="v").get(self.KEY)
-        assert healed.digest() == want
+        assert view.read(directory) == want
 
-    def test_every_truncation_and_flip_of_a_tiny_entry(self, tmp_path):
-        self._check(tmp_path, tiny_schedule(), stride=1)
+    def test_every_truncation_and_flip_of_a_tiny_entry(self, view, tmp_path):
+        self._check(view, tmp_path, view.tiny(tmp_path), stride=1)
 
-    def test_sampled_truncations_and_flips_of_a_captured_entry(self, tmp_path):
-        schedule = captured_schedule(tmp_path / "capture")
-        assert schedule.nruns > 100
-        self._check(tmp_path / "damage", schedule, stride=7)
+    def test_sampled_damage_to_a_real_entry(self, view, tmp_path):
+        value = view.captured(tmp_path)
+        self._check(view, tmp_path / "damage", value, stride=7)
