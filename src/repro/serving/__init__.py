@@ -41,7 +41,6 @@ from repro.serving.api import (
     ServiceResponse,
     WireError,
     chol_request,
-    job_from_dict,
     job_from_wire,
     job_to_wire,
     pxpotrf_request,
@@ -82,7 +81,7 @@ from repro.serving.service import (
     Overloaded,
     canary_point,
 )
-from repro.serving.store import SharedResultStore, ShardStoreView
+from repro.serving.store import ShardStoreView
 from repro.serving.supervisor import ShardSupervisor
 
 __all__ = [
@@ -121,14 +120,12 @@ __all__ = [
     "ServingClient",
     "ServingCluster",
     "ShardSupervisor",
-    "SharedResultStore",
     "ShardStoreView",
     "TERMINAL_STATUSES",
     "WireError",
     "canary_point",
     "chol_request",
     "degraded_measurement",
-    "job_from_dict",
     "job_from_wire",
     "job_to_wire",
     "parse_priority",

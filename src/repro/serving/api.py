@@ -78,12 +78,13 @@ wire document from an incompatible future schema with
   byte-identical to version 2 apart from the stamp.
 
 The write-ahead job journal (PR 8,
-:mod:`repro.serving.journal`) embeds each accepted job's version-2
-wire document verbatim inside its ``accepted`` records, so journal
-replay goes through :func:`job_from_wire` and inherits this exact
-compatibility contract — including the preservation of the original
-``job_id``, which is what lets a recovery run match its terminal
-records against a previous incarnation's acceptances.
+:mod:`repro.serving.journal`) embeds each accepted job's current wire
+document (version :data:`SCHEMA_VERSION`) verbatim inside its
+``accepted`` records, so journal replay goes through
+:func:`job_from_wire` and inherits this exact compatibility
+contract — including the preservation of the original ``job_id``,
+which is what lets a recovery run match its terminal records against
+a previous incarnation's acceptances.
 """
 
 from __future__ import annotations
@@ -477,17 +478,6 @@ def response_from_wire(d: Mapping[str, Any]) -> ServiceResponse:
     )
 
 
-def job_from_dict(d: Mapping[str, Any]) -> Job:
-    """Build a job from a workload-file record.
-
-    The record is ``{"point": <SpecPoint.to_dict()>, "priority":
-    "high"|"normal"|"low"|int, "budget": <Budget.to_dict()>}`` with
-    everything but ``point`` optional.  Retained as the historical
-    name; it is the same parser as :func:`job_from_wire`.
-    """
-    return job_from_wire(d)
-
-
 __all__ = [
     "DEGRADED",
     "DONE",
@@ -500,7 +490,6 @@ __all__ = [
     "ServiceResponse",
     "WireError",
     "chol_request",
-    "job_from_dict",
     "job_from_wire",
     "job_to_wire",
     "pxpotrf_request",

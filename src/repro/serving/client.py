@@ -93,7 +93,7 @@ class ServingClient:
 
         Keyword arguments go to
         :class:`~repro.serving.cluster.ServingCluster` verbatim —
-        ``shards=``, ``mode=``, ``spill_depth=`` and friends.
+        ``shards=``, ``mode=``, ``workers_per_shard=`` and friends.
         """
         from repro.serving.cluster import ServingCluster
 

@@ -6,15 +6,12 @@ independent shards behind one submit surface:
 
 * **Routing** — jobs hash onto a :class:`~repro.serving.ring.HashRing`
   by their spec's content key, so identical specs always land on the
-  same shard and hit its warm in-memory result tier.  Optional
-  bounded-load spill (``spill_depth``) diverts a job to its
-  second-choice shard when the owner's backlog is deep — affinity with
-  a cap on imbalance.
-* **Shared results** — every shard reads and writes one
-  :class:`~repro.serving.store.SharedResultStore`, so after a
-  rebalance the new owner of a key serves the old owner's work from
-  the store instead of recomputing (see the store module docstring for
-  the 2.5D-replication analogy).
+  same shard and hit its warm in-memory result tier.
+* **Shared results** — every shard incarnation opens its own
+  :class:`~repro.serving.store.ShardStoreView` over one shared store
+  directory, so after a rebalance the new owner of a key serves the
+  old owner's work from the store instead of recomputing (see the
+  store module docstring for the 2.5D-replication analogy).
 * **Health aggregation and rebalancing** — the front door tracks shard
   liveness (process exit, stale heartbeats) and breaker state; a dead
   or hard-open shard is removed from the ring (its keys fall through
@@ -22,25 +19,28 @@ independent shards behind one submit surface:
   in-flight job of a *dead* shard is resubmitted to a survivor — an
   accepted job is never lost, it is re-routed.
 
-Two substrates, one API:
+Two transports, one shard runtime: every shard is a :class:`Shard`
+built from the cluster's one :class:`ShardConfig`, and a respawned
+shard starts cold in either mode, then is warmed from the shared store.
 
 ``mode="inline"``
-    Shards are in-process services with ``workers=0``, executed by
-    :meth:`ServingCluster.run_pending` in deterministic ring order on
-    the caller's thread, with a shared
+    The :class:`Shard` lives in this process with ``workers=0``,
+    executed by :meth:`ServingCluster.run_pending` in deterministic
+    ring order on the caller's thread, with a shared
     :class:`~repro.serving.clock.ManualClock` by default.  This is the
     virtual-clock mode the determinism suite runs: same seed, same
     submission order → identical responses and identical shard
     assignments, for any shard count.
 ``mode="process"``
-    Each shard is a real OS process (``multiprocessing`` spawn) running
-    its own service with worker threads, fed over a duplex pipe with
-    the versioned wire schema from :mod:`repro.serving.api`.  Shard
-    processes emit heartbeats (and, when ``health_dir`` is set, write
-    crash-safe health snapshots via
-    :func:`~repro.util.serialization.atomic_write_json`); the parent's
-    monitor removes silent or dead shards from the ring and resubmits
-    their in-flight jobs.
+    Each shard is a real OS process (``multiprocessing`` spawn) whose
+    :func:`_shard_process_main` builds the same :class:`Shard` with
+    worker threads and feeds it from a duplex pipe with the versioned
+    wire schema from :mod:`repro.serving.api`; :class:`ProcessShard`
+    is the front door's proxy for it.  Shard processes emit heartbeats
+    (and, when ``health_dir`` is set, write crash-safe health
+    snapshots via :func:`~repro.util.serialization.atomic_write_json`);
+    the parent's monitor removes silent or dead shards from the ring
+    and resubmits their in-flight jobs.
 
 Durability and self-healing (PR 8):
 
@@ -57,9 +57,9 @@ Durability and self-healing (PR 8):
 * **Shard supervisor** — with ``supervise=True`` the health pass
   consults a :class:`~repro.serving.supervisor.ShardSupervisor`:
   a dead shard is respawned under seeded exponential backoff and a
-  per-shard restart budget, rejoined to the ring, and (process mode)
-  warmed from the shared store tier; ``repro_cluster_respawn_total``
-  and the ``repro_cluster_restart_state`` gauge track it.
+  per-shard restart budget, rejoined to the ring, and warmed from the
+  shared store tier; ``repro_cluster_respawn_total`` and the
+  ``repro_cluster_restart_state`` gauge track it.
 * **Seeded cluster chaos** — a
   :class:`~repro.faults.plan.ClusterFaultPlan` injects shard
   kills/stalls, dispatch drops/delays, poison jobs and a
@@ -80,7 +80,7 @@ import os
 import tempfile
 import threading
 import time
-from typing import Any, Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.experiments.spec import SpecPoint
 from repro.faults.plan import ClusterFaultPlan
@@ -100,11 +100,12 @@ from repro.serving.api import (
     response_from_wire,
     response_to_wire,
 )
+from repro.serving.budget import Budget
 from repro.serving.clock import MONOTONIC, Clock, ManualClock
 from repro.serving.journal import JobJournal, replay_journal
 from repro.serving.ring import HashRing
 from repro.serving.service import FactorizationService, _validate_job_point
-from repro.serving.store import SharedResultStore
+from repro.serving.store import ShardStoreView
 from repro.serving.supervisor import (
     DECIDE_RESPAWN,
     DECIDE_WAIT,
@@ -113,6 +114,7 @@ from repro.serving.supervisor import (
 )
 from repro.serving.telemetry import ClusterTelemetry, TelemetryBus, make_event
 from repro.util.serialization import atomic_write_json
+from repro.util.store import code_version
 from repro.util.validation import ValidationError
 
 #: Process label for front-door trace spans and telemetry events.
@@ -123,6 +125,9 @@ PROCESS = "process"
 
 #: Breaker states considered "hard open" (cooldown still running).
 _OPEN = "open"
+
+#: A shard's telemetry sink: ``emit(kind, t, attrs)``.
+Emit = Callable[[str, float, dict], None]
 
 
 class _Tracked:
@@ -149,19 +154,97 @@ class _Tracked:
         self.index = index
 
 
-class InlineShard:
-    """An in-process shard: a ``workers=0`` service pumped by the cluster."""
+@dataclasses.dataclass(frozen=True)
+class ShardConfig:
+    """Everything a shard incarnation is built from.
 
-    def __init__(self, name: str, service: FactorizationService, view) -> None:
+    The cluster builds the one instance from its own parameters, where
+    their defaults live; it is frozen and picklable, so a shard process
+    receives it as is.
+    """
+
+    store_dir: str
+    store_version: str
+    workers: int
+    queue_capacity: int
+    retries: int
+    breaker_threshold: int
+    breaker_cooldown: float
+    default_budget: "Budget | None"
+    heartbeat_interval: float
+    health_dir: "str | None"
+    telemetry: bool
+
+
+class Shard:
+    """One shard incarnation, the same runtime in both transports.
+
+    It owns a fresh :class:`ShardStoreView` over the shared store
+    directory (so a respawned shard starts cold), the
+    :class:`FactorizationService` over that view, and the telemetry
+    sink ``emit`` (``None`` emits nothing).  The inline transport is
+    this class on the cluster's clock with ``workers=0``; a shard
+    process builds it with worker threads (:func:`_shard_process_main`).
+    ``on_down`` is told once when the shard dies; an in-process shard
+    dies only through :meth:`kill`.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        config: ShardConfig,
+        *,
+        clock: Clock = MONOTONIC,
+        emit: "Emit | None" = None,
+        on_down: "Callable[[Shard], None] | None" = None,
+        workers: int = 0,
+    ) -> None:
         self.name = name
-        self.service = service
-        self.view = view
         self.alive = True
+        self.on_down = on_down
+        self._clock = clock
+        self._emit = emit
+        self.view = ShardStoreView(
+            config.store_dir, name, version=config.store_version
+        )
+        if emit is not None:
+            self.view.on_lookup = lambda tier: emit(
+                "store", clock(), {"tier": tier}
+            )
+        self.service = FactorizationService(
+            workers=workers,
+            queue_capacity=config.queue_capacity,
+            retries=config.retries,
+            breaker_threshold=config.breaker_threshold,
+            breaker_cooldown=config.breaker_cooldown,
+            default_budget=config.default_budget,
+            cache=self.view,
+            clock=clock,
+            name=name,
+            on_event=emit,
+        )
 
-    def submit(self, job: Job, done_cb) -> None:
-        """Admit one job; ``done_cb`` fires at its terminal response."""
-        ticket = self.service.submit(job)
-        ticket.add_done_callback(done_cb)
+    def wait_ready(self, timeout: float = 0.0) -> None:
+        """No-op: an in-process shard is ready once built."""
+
+    def submit(self, job: Job, done_cb: Callable[[ServiceResponse], None]) -> None:
+        """Admit one job; ``done_cb`` fires at its terminal response.
+
+        A point the service refuses is answered ``failed`` /
+        ``invalid-point`` through ``done_cb``, never raised.
+        """
+        try:
+            ticket = self.service.submit(job)
+        except ValidationError as exc:
+            done_cb(ServiceResponse(
+                job_id=job.job_id,
+                status=FAILED,
+                reason="invalid-point",
+                detail={"error": f"{type(exc).__name__}: {exc}"},
+                priority=job.priority,
+            ))
+        else:
+            ticket.add_done_callback(done_cb)
 
     def pump(self, max_jobs: "int | None" = None) -> int:
         """Run queued jobs on the calling thread; dead shards run nothing."""
@@ -169,23 +252,47 @@ class InlineShard:
             return 0
         return self.service.run_pending(max_jobs)
 
-    def health(self, timeout: float = 0.0) -> dict:
-        """The shard's liveness snapshot plus its store-tier stats."""
+    def health(self) -> dict:
+        """The service's liveness snapshot plus the view's tier stats."""
         h = self.service.health()
         h["reachable"] = self.alive
         h["store"] = self.view.stats()
         return h
 
-    def kill(self) -> None:
-        """Simulated crash: stop executing; queued work is stranded."""
-        self.alive = False
+    def warm(self, points: Iterable[SpecPoint]) -> None:
+        """Promote ``points`` from the shared store into the memory tier.
+
+        Best-effort (a failed lookup is skipped); emits one ``warm``
+        event with the count found.
+        """
+        warmed = 0
+        for point in points:
+            try:
+                if self.view.get(point) is not None:
+                    warmed += 1
+            except Exception:  # noqa: BLE001 - warming is best-effort
+                pass
+        if self._emit is not None:
+            self._emit("warm", self._clock(), {"count": warmed})
+
+    def silent_for(self) -> float:
+        """Always 0: an in-process shard has no heartbeat to miss."""
+        return 0.0
 
     def stall(self, seconds: float) -> bool:
-        """No-op: inline shards have no heartbeats to suppress."""
+        """No-op: an in-process shard has no heartbeats to suppress."""
         return False
 
+    def kill(self) -> None:
+        """Simulated crash: stop executing (queued work is stranded)
+        and report down."""
+        if self.alive:
+            self.alive = False
+            if self.on_down is not None:
+                self.on_down(self)
+
     def stop(self, timeout: float = 10.0) -> None:
-        """Graceful shutdown of the underlying service."""
+        """Graceful shutdown: the service sheds its backlog."""
         self.service.stop(timeout=timeout)
 
 
@@ -200,52 +307,25 @@ def _shed_response(job: Job, reason: str, detail: "dict | None" = None) -> Servi
     )
 
 
-def _shard_process_main(conn, name: str, config: dict) -> None:
+def _shard_process_main(conn, name: str, config: ShardConfig) -> None:
     """Entry point of one shard process (``mode="process"``).
 
-    Builds a :class:`FactorizationService` over a view of the shared
-    store, then serves ops from the duplex pipe: ``submit`` (job wire
-    in, ``result`` wire out at terminal), ``health`` (snapshot RPC),
-    ``stop`` (graceful shutdown: queued jobs shed, results flushed,
-    then ``bye``).  A daemon heartbeat thread emits liveness pings and
-    — when ``health_dir`` is set — writes the shard's health snapshot
+    Builds the :class:`Shard` from ``config``, then serves ops from
+    the duplex pipe: ``submit`` (job wire in, ``result`` wire out at
+    terminal), ``health`` (snapshot RPC), ``warm`` (respawn warm-up),
+    ``stall`` (chaos: heartbeats suppressed) and ``stop`` (graceful
+    shutdown: queued jobs shed, results flushed, then ``bye``).  A
+    daemon heartbeat thread emits liveness pings and — when
+    ``health_dir`` is set — writes the shard's health snapshot
     crash-safely via :func:`atomic_write_json`, so an external reader
     (or the parent after a crash) never sees a torn snapshot.
     """
-    from repro.util.validation import ValidationError
-
-    view = SharedResultStore(
-        config["store_dir"], version=config.get("store_version")
-    ).view(name)
-    budget_wire = config.get("default_budget")
-    from repro.serving.budget import Budget
-
-    bus: "TelemetryBus | None" = (
-        TelemetryBus(name) if config.get("telemetry") else None
-    )
-    if bus is not None:
-        view.on_lookup = lambda tier: bus.emit(
-            "store", time.monotonic(), {"tier": tier}
-        )
-
-    svc = FactorizationService(
-        workers=config.get("workers", 2),
-        queue_capacity=config.get("queue_capacity", 64),
-        retries=config.get("retries", 1),
-        breaker_threshold=config.get("breaker_threshold", 3),
-        breaker_cooldown=config.get("breaker_cooldown", 30.0),
-        half_open_probes=config.get("half_open_probes", 1),
-        canary_n=config.get("canary_n", 16),
-        default_budget=(
-            None if budget_wire is None else Budget.from_dict(budget_wire)
-        ),
-        cache=view,
-        name=name,
-        on_event=(
-            None
-            if bus is None
-            else lambda kind, t, attrs: bus.emit(kind, t, attrs)
-        ),
+    bus = TelemetryBus(name) if config.telemetry else None
+    shard = Shard(
+        name,
+        config,
+        emit=None if bus is None else bus.emit,
+        workers=config.workers,
     )
     send_lock = threading.Lock()
 
@@ -264,42 +344,37 @@ def _shard_process_main(conn, name: str, config: dict) -> None:
             if events:
                 send({"op": "telemetry", "events": events})
 
-    health_dir = config.get("health_dir")
-    hb_interval = float(config.get("heartbeat_interval", 1.0))
+    def write_snapshot() -> None:
+        # the crash-safe write is the point: a reader (or the parent
+        # post-mortem) must never see a torn snapshot
+        if config.health_dir:
+            atomic_write_json(
+                os.path.join(config.health_dir, f"{name}.json"),
+                {
+                    "shard": name,
+                    "ready": shard.service.readiness(),
+                    "health": shard.health(),
+                    "written_at": time.time(),
+                },
+                indent=1,
+                sort_keys=True,
+            )
+
     stopping = threading.Event()
     #: Chaos: monotonic instant until which heartbeats are suppressed
     #: (the shard keeps working — it just goes silent; the parent's
     #: staleness/debounce/supervisor path is what's under test).
     stall_until = [0.0]
 
-    def snapshot() -> dict:
-        h = svc.health()
-        h["reachable"] = True
-        h["store"] = view.stats()
-        return {
-            "shard": name,
-            "ready": svc.readiness(),
-            "health": h,
-            "written_at": time.time(),
-        }
-
     def heartbeat_loop() -> None:
-        while not stopping.wait(hb_interval):
+        while not stopping.wait(config.heartbeat_interval):
             if time.monotonic() < stall_until[0]:
                 continue  # injected stall: stay alive but go silent
             if bus is not None:
                 bus.emit("heartbeat", time.monotonic(), {})
             send({"op": "heartbeat"})
             flush_telemetry()
-            if health_dir:
-                # the crash-safe write is the point: a reader (or the
-                # parent post-mortem) must never see a torn snapshot
-                atomic_write_json(
-                    os.path.join(health_dir, f"{name}.json"),
-                    snapshot(),
-                    indent=1,
-                    sort_keys=True,
-                )
+            write_snapshot()
 
     threading.Thread(target=heartbeat_loop, daemon=True).start()
     send({"op": "ready"})
@@ -322,39 +397,12 @@ def _shard_process_main(conn, name: str, config: dict) -> None:
                     })
                     flush_telemetry()
 
-                try:
-                    ticket = svc.submit(job)
-                except ValidationError as exc:
-                    on_done(
-                        ServiceResponse(
-                            job_id=job.job_id,
-                            status=FAILED,
-                            reason="invalid-point",
-                            detail={"error": f"{type(exc).__name__}: {exc}"},
-                            priority=job.priority,
-                        )
-                    )
-                else:
-                    ticket.add_done_callback(on_done)
+                shard.submit(job, on_done)
             elif op == "health":
-                send({
-                    "op": "health",
-                    "seq": msg.get("seq"),
-                    "payload": snapshot()["health"],
-                })
+                send({"op": "health", "payload": shard.health()})
             elif op == "warm":
-                # supervisor respawn: promote recently served entries
-                # from the shared disk tier into this (fresh) shard's
-                # memory tier before traffic lands on it
-                warmed = 0
-                for pd in msg.get("points") or []:
-                    try:
-                        if view.get(SpecPoint.from_dict(pd)) is not None:
-                            warmed += 1
-                    except Exception:  # noqa: BLE001 - warming is best-effort
-                        pass
-                if bus is not None:
-                    bus.emit("warm", time.monotonic(), {"count": warmed})
+                shard.warm([SpecPoint.from_dict(d) for d in msg["points"]])
+                flush_telemetry()
             elif op == "stall":
                 stall_until[0] = time.monotonic() + float(
                     msg.get("seconds", 0.0)
@@ -363,24 +411,37 @@ def _shard_process_main(conn, name: str, config: dict) -> None:
                 break
     finally:
         stopping.set()
-        svc.stop()  # sheds the backlog; callbacks flush results out
+        shard.stop()  # sheds the backlog; callbacks flush results out
         flush_telemetry()
-        if health_dir:
-            atomic_write_json(
-                os.path.join(health_dir, f"{name}.json"),
-                snapshot(),
-                indent=1,
-                sort_keys=True,
-            )
+        write_snapshot()
         send({"op": "bye"})
         conn.close()
 
 
 class ProcessShard:
-    """Parent-side handle on one shard process (pipe + reader thread)."""
+    """The front door's proxy for one shard process (pipe + reader).
 
-    def __init__(self, name: str, ctx, config: dict) -> None:
+    Built like a :class:`Shard`: construction starts the process and
+    :meth:`wait_ready` awaits its handshake, so several shards start
+    together.  Heartbeats are timed on ``clock``; ``emit`` receives the
+    shard's telemetry batches event by event, and ``on_down`` hears of
+    the process's death once, whether it was killed or died.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        config: ShardConfig,
+        *,
+        clock: Clock = MONOTONIC,
+        emit: "Emit | None" = None,
+        on_down: "Callable[[ProcessShard], None] | None" = None,
+    ) -> None:
         self.name = name
+        self.on_down = on_down
+        self._clock = clock
+        self._emit = emit
+        ctx = multiprocessing.get_context("spawn")
         self._conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_shard_process_main,
@@ -388,35 +449,27 @@ class ProcessShard:
             name=f"repro-shard-{name}",
             daemon=True,
         )
-        self._child_conn = child_conn
         self._send_lock = threading.Lock()
+        self._down_lock = threading.Lock()
         self._pending: "dict[str, Callable[[ServiceResponse], None]]" = {}
         self._pending_lock = threading.Lock()
         self._ready = threading.Event()
         self._bye = threading.Event()
-        self._health_seq = 0
         self._health_payload: "dict | None" = None
         self._health_event = threading.Event()
-        self.last_heartbeat = MONOTONIC()
-        self.alive = False
-        self.on_down: "Callable[[ProcessShard], None] | None" = None
-        #: Sink for batched telemetry events (wire dicts) off the pipe.
-        self.on_telemetry: "Callable[[list], None] | None" = None
-
-    def launch(self) -> None:
-        """Spawn the process and its reader; ``wait_ready`` completes it."""
+        self.last_heartbeat = clock()
         self.process.start()
-        self._child_conn.close()
+        child_conn.close()
         self.alive = True
         threading.Thread(
-            target=self._reader, name=f"repro-shard-{self.name}-rx", daemon=True
+            target=self._reader, name=f"repro-shard-{name}-rx", daemon=True
         ).start()
 
     def wait_ready(self, timeout: float = 120.0) -> None:
         """Block until the child's ``ready`` handshake arrives."""
         if not self._ready.wait(timeout=timeout):
             raise TimeoutError(f"shard {self.name} did not come up")
-        self.last_heartbeat = MONOTONIC()
+        self.last_heartbeat = self._clock()
 
     def _send(self, msg: dict) -> bool:
         with self._send_lock:
@@ -439,10 +492,11 @@ class ProcessShard:
                 if cb is not None:
                     cb(response_from_wire(msg["response"]))
             elif op == "heartbeat":
-                self.last_heartbeat = MONOTONIC()
+                self.last_heartbeat = self._clock()
             elif op == "telemetry":
-                if self.on_telemetry is not None:
-                    self.on_telemetry(msg.get("events") or [])
+                if self._emit is not None:
+                    for e in msg.get("events") or []:
+                        self._emit(e["kind"], e["t"], dict(e["attrs"]))
             elif op == "ready":
                 self._ready.set()
             elif op == "health":
@@ -450,12 +504,17 @@ class ProcessShard:
                 self._health_event.set()
             elif op == "bye":
                 self._bye.set()
-        was_alive, self.alive = self.alive, False
-        self._health_event.set()  # unblock any waiting health RPC
-        if was_alive and not self._bye.is_set() and self.on_down is not None:
-            self.on_down(self)
+        self._down()
 
-    def submit(self, job: Job, done_cb) -> None:
+    def _down(self) -> None:
+        """Mark the shard down; the first report runs ``on_down``."""
+        with self._down_lock:
+            was_alive, self.alive = self.alive, False
+            self._health_event.set()  # unblock any waiting health RPC
+            if was_alive and not self._bye.is_set() and self.on_down is not None:
+                self.on_down(self)
+
+    def submit(self, job: Job, done_cb: Callable[[ServiceResponse], None]) -> None:
         """Ship one job over the pipe; ``done_cb`` fires on its result."""
         with self._pending_lock:
             self._pending[job.job_id] = done_cb
@@ -473,8 +532,7 @@ class ProcessShard:
         if not self.alive:
             return {"reachable": False}
         self._health_event.clear()
-        self._health_seq += 1
-        if not self._send({"op": "health", "seq": self._health_seq}):
+        if not self._send({"op": "health"}):
             return {"reachable": False}
         if not self._health_event.wait(timeout=timeout) or not self.alive:
             return {"reachable": False}
@@ -482,19 +540,23 @@ class ProcessShard:
         payload.setdefault("reachable", True)
         return payload
 
-    def pending_count(self) -> int:
-        """Jobs shipped to this shard that have not answered yet."""
-        with self._pending_lock:
-            return len(self._pending)
+    def warm(self, points: Iterable[SpecPoint]) -> None:
+        """Ask the shard to warm ``points`` (see :meth:`Shard.warm`)."""
+        self._send({"op": "warm", "points": [p.to_dict() for p in points]})
 
-    def kill(self) -> None:
-        """Hard-kill the shard process (chaos / soak testing)."""
-        if self.process.is_alive():
-            self.process.terminate()
+    def silent_for(self) -> float:
+        """Seconds since the shard's last heartbeat."""
+        return self._clock() - self.last_heartbeat
 
     def stall(self, seconds: float) -> bool:
         """Chaos: suppress the shard's heartbeats for ``seconds``."""
         return self._send({"op": "stall", "seconds": float(seconds)})
+
+    def kill(self) -> None:
+        """Hard-kill the shard process and report down."""
+        if self.process.is_alive():
+            self.process.terminate()
+        self._down()
 
     def stop(self, timeout: float = 10.0) -> None:
         """Graceful shutdown: drain the shed responses, then join."""
@@ -508,36 +570,38 @@ class ProcessShard:
         self.alive = False
 
 
+#: How each mode builds a shard incarnation (same signature for both).
+_TRANSPORTS = {INLINE: Shard, PROCESS: ProcessShard}
+
+
 class ServingCluster:
     """N independent factorization shards behind one consistent-hash door.
 
     Parameters
     ----------
     shards:
-        Shard count (or pass explicit ``shard_names``).
+        Shard count; shards are named ``shard-0`` … ``shard-{N-1}``.
     mode:
         ``"process"`` (default) spawns one OS process per shard;
         ``"inline"`` builds deterministic in-process shards pumped by
         :meth:`run_pending` on a virtual clock.
-    workers_per_shard / queue_capacity / retries / breaker_* / canary_n
-    / default_budget:
+    workers_per_shard / queue_capacity / retries / breaker_* /
+    default_budget:
         Per-shard :class:`FactorizationService` configuration (inline
         shards always run ``workers=0``).
     store_dir:
         Directory of the shared result store (default a fresh temp
         directory cleaned up at :meth:`stop`).
-    replicas / spill_depth:
-        Ring geometry, and the bounded-load threshold: when the
-        owner's outstanding backlog reaches ``spill_depth`` and its
-        second choice is shallower, the job spills there (``None``
-        disables spill — strict affinity).
+    replicas:
+        Virtual replicas per shard on the hash ring.
     clock:
         Front-door time source; defaults to a fresh
         :class:`ManualClock` in inline mode and the monotonic clock in
         process mode.
     heartbeat_interval / heartbeat_timeout / monitor_interval:
-        Process-mode liveness: shards ping every ``interval`` seconds;
-        a shard silent for ``timeout`` seconds is treated as dead.
+        Process-mode liveness: shards ping every ``interval`` seconds
+        (timed on ``clock``); a shard silent for ``timeout`` seconds
+        is treated as dead.
         ``monitor_interval`` starts a background thread calling
         :meth:`check_shards`; ``None`` leaves checks to the caller.
     rebalance_debounce:
@@ -547,12 +611,11 @@ class ServingCluster:
         that resumes heartbeating inside the window is never evicted.
         Default 0.0 — evict on first stale observation (the PR 6
         behavior).
-    journal_dir / journal_sync / journal_crash_mode:
+    journal_dir / journal_crash_mode:
         When ``journal_dir`` is set, the front door write-ahead
         journals every accepted/assigned/terminal transition there
         (see :mod:`repro.serving.journal`); :meth:`recover` replays
-        it after a crash.  ``journal_sync=False`` trades the fsync
-        per record for speed; ``journal_crash_mode`` selects how an
+        it after a crash.  ``journal_crash_mode`` selects how an
         armed ``crash_at_record`` chaos fault dies (``"raise"`` /
         ``"exit"``).  Off (``None``) by default — zero cost, responses
         byte-identical to the unjournaled cluster.
@@ -562,10 +625,10 @@ class ServingCluster:
         (shard kills/stalls, dispatch drops/delays, poison jobs,
         front-door crash-at-record-k).  ``None`` (default) injects
         nothing and costs nothing.
-    supervise / supervisor / restart_budget / restart_backoff_base /
-    restart_backoff_cap / supervisor_seed:
-        ``supervise=True`` (or an explicit ``supervisor``) makes
-        :meth:`check_shards` respawn dead shards under the
+    supervise / restart_budget / restart_backoff_base /
+    supervisor_seed:
+        ``supervise=True`` makes :meth:`check_shards` respawn dead
+        shards under the
         :class:`~repro.serving.supervisor.ShardSupervisor` policy:
         seeded exponential backoff between attempts, at most
         ``restart_budget`` respawns per shard, ring rejoin + shared
@@ -603,44 +666,33 @@ class ServingCluster:
         retries: int = 1,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 30.0,
-        half_open_probes: int = 1,
-        canary_n: int = 16,
-        default_budget=None,
+        default_budget: "Budget | None" = None,
         store_dir: "str | None" = None,
         replicas: int = 64,
-        spill_depth: "int | None" = None,
         clock: "Clock | None" = None,
         heartbeat_interval: float = 1.0,
         heartbeat_timeout: float = 10.0,
         monitor_interval: "float | None" = None,
         rebalance_debounce: float = 0.0,
         health_dir: "str | None" = None,
-        shard_names: "list[str] | None" = None,
         tracing: bool = False,
         telemetry: bool = False,
         slo_target: "SLOTarget | None" = None,
         journal_dir: "str | None" = None,
-        journal_sync: bool = True,
         journal_crash_mode: str = "raise",
         chaos: "ClusterFaultPlan | None" = None,
         supervise: bool = False,
-        supervisor: "ShardSupervisor | None" = None,
         restart_budget: int = 3,
         restart_backoff_base: float = 0.1,
-        restart_backoff_cap: float = 5.0,
         supervisor_seed: int = 0,
     ) -> None:
-        if mode not in (INLINE, PROCESS):
+        if mode not in _TRANSPORTS:
             raise ValueError(f"mode must be 'inline' or 'process', got {mode!r}")
-        names = list(shard_names or [])
-        if not names:
-            if shards < 1:
-                raise ValueError(f"shards must be >= 1, got {shards}")
-            names = [f"shard-{i}" for i in range(int(shards))]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate shard names in {names}")
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
+        names = [f"shard-{i}" for i in range(int(shards))]
         self.mode = mode
-        self.spill_depth = spill_depth
+        self._transport = _TRANSPORTS[mode]
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.rebalance_debounce = float(rebalance_debounce)
         self._clock: Clock = clock or (ManualClock() if mode == INLINE else MONOTONIC)
@@ -655,19 +707,17 @@ class ServingCluster:
             self._journal = JobJournal(
                 journal_dir,
                 clock=self._clock,
-                sync=journal_sync,
                 crash_at_record=(
                     self._chaos.crash_at_record if self._chaos else None
                 ),
                 crash_mode=journal_crash_mode,
             )
-        self._supervisor: "ShardSupervisor | None" = supervisor
-        if self._supervisor is None and supervise:
+        self._supervisor: "ShardSupervisor | None" = None
+        if supervise:
             self._supervisor = ShardSupervisor(
                 seed=supervisor_seed,
                 restart_budget=restart_budget,
                 backoff_base=restart_backoff_base,
-                backoff_cap=restart_backoff_cap,
             )
         #: shard name -> first time its heartbeat was observed stale
         #: (the rebalance-debounce state machine; see check_shards).
@@ -688,7 +738,6 @@ class ServingCluster:
             store_dir = self._owns_store_dir = tempfile.mkdtemp(
                 prefix="repro-cluster-store-"
             )
-        self.store = SharedResultStore(store_dir)
         self.health_dir = health_dir
         if health_dir:
             os.makedirs(health_dir, exist_ok=True)
@@ -703,49 +752,25 @@ class ServingCluster:
         self._closed = False
         self.ring = HashRing(names, replicas=replicas)
 
-        # Shard construction configs are stashed so the supervisor can
-        # rebuild a shard from scratch on respawn (both modes).
-        self._service_config = {
-            "queue_capacity": queue_capacity,
-            "retries": retries,
-            "breaker_threshold": breaker_threshold,
-            "breaker_cooldown": breaker_cooldown,
-            "half_open_probes": half_open_probes,
-            "canary_n": canary_n,
-            "default_budget": default_budget,
-        }
-        self._ctx = None
-        self._shard_config: "dict | None" = None
-        self.shards: "dict[str, InlineShard | ProcessShard]" = {}
-        if mode == INLINE:
-            for name in names:
-                self.shards[name] = self._make_inline_shard(name)
-        else:
-            self._ctx = multiprocessing.get_context("spawn")
-            self._shard_config = {
-                "store_dir": self.store.directory,
-                "store_version": self.store.version,
-                "workers": workers_per_shard,
-                "queue_capacity": queue_capacity,
-                "retries": retries,
-                "breaker_threshold": breaker_threshold,
-                "breaker_cooldown": breaker_cooldown,
-                "half_open_probes": half_open_probes,
-                "canary_n": canary_n,
-                "default_budget": (
-                    None if default_budget is None else default_budget.to_dict()
-                ),
-                "heartbeat_interval": heartbeat_interval,
-                "health_dir": health_dir,
-                "telemetry": self.telemetry is not None,
-            }
-            for name in names:
-                self.shards[name] = self._make_process_shard(name)
-            for shard in self.shards.values():
-                shard.launch()
-            deadline = MONOTONIC() + 120.0
-            for shard in self.shards.values():
-                shard.wait_ready(timeout=max(0.1, deadline - MONOTONIC()))
+        #: What every shard incarnation, first or respawned, is built from.
+        self.config = ShardConfig(
+            store_dir=str(store_dir),
+            store_version=code_version(),
+            workers=workers_per_shard,
+            queue_capacity=queue_capacity,
+            retries=retries,
+            breaker_threshold=breaker_threshold,
+            breaker_cooldown=breaker_cooldown,
+            default_budget=default_budget,
+            heartbeat_interval=heartbeat_interval,
+            health_dir=health_dir,
+            telemetry=self.telemetry is not None,
+        )
+        # shard processes start together, then are awaited together
+        self.shards = {name: self._make_shard(name) for name in names}
+        deadline = MONOTONIC() + 120.0
+        for shard in self.shards.values():
+            shard.wait_ready(timeout=max(0.1, deadline - MONOTONIC()))
 
         self._monitor_stop = threading.Event()
         self._monitor: "threading.Thread | None" = None
@@ -760,38 +785,23 @@ class ServingCluster:
 
     # -- shard construction ------------------------------------------------
 
-    def _make_inline_shard(self, name: str) -> InlineShard:
-        view = self.store.view(name)
-        on_event = None
+    def _make_shard(self, name: str) -> "Shard | ProcessShard":
+        """A fresh incarnation of shard ``name`` on this cluster's
+        transport (a shard process is started, not yet awaited)."""
+        emit = None
         if self.telemetry is not None:
-            # inline shards feed the aggregator synchronously, stamped
-            # with the shard's name (same event shape the pipe batches
-            # carry in process mode)
-            def on_event(kind, t, attrs, _shard=name):
-                self.telemetry.ingest(make_event(kind, _shard, t, attrs))
+            ingest = self.telemetry.ingest
 
-            def on_lookup(tier, _shard=name):
-                self.telemetry.ingest(
-                    make_event("store", _shard, self._clock(), {"tier": tier})
-                )
+            def emit(kind: str, t: float, attrs: dict) -> None:
+                ingest(make_event(kind, name, t, attrs))
 
-            view.on_lookup = on_lookup
-        svc = FactorizationService(
-            workers=0,
-            cache=view,
+        return self._transport(
+            name,
+            self.config,
             clock=self._clock,
-            name=name,
-            on_event=on_event,
-            **self._service_config,
+            emit=emit,
+            on_down=self._on_shard_down,
         )
-        return InlineShard(name, svc, view)
-
-    def _make_process_shard(self, name: str) -> "ProcessShard":
-        shard = ProcessShard(name, self._ctx, self._shard_config)
-        shard.on_down = self._on_shard_down
-        if self.telemetry is not None:
-            shard.on_telemetry = self.telemetry.ingest_wire
-        return shard
 
     # -- routing -----------------------------------------------------------
 
@@ -816,21 +826,10 @@ class ServingCluster:
         return point.key()
 
     def _pick_shard(self, key: str) -> "str | None":
-        """The owner, or its second choice under bounded-load spill."""
-        candidates = self.ring.nodes_for(key, 2 if self.spill_depth else 1)
-        candidates = [c for c in candidates if self.shards[c].alive]
-        if not candidates:
+        """The key's owner on the ring, if that shard is alive."""
+        owner = self.ring.node_for(key)
+        if owner is None or not self.shards[owner].alive:
             return None
-        owner = candidates[0]
-        if (
-            self.spill_depth is not None
-            and len(candidates) > 1
-            and self._outstanding.get(owner, 0) >= self.spill_depth
-            and self._outstanding.get(candidates[1], 0)
-            < self._outstanding.get(owner, 0)
-        ):
-            METRICS.counter("repro_cluster_spills_total").inc()
-            return candidates[1]
         return owner
 
     def submit(
@@ -991,6 +990,10 @@ class ServingCluster:
             response = self._merge_trace(tracked, response, now)
             self._store_trace(job_id, response.trace)
         self._publish_depth(tracked.shard)
+        if self._supervisor is not None and response.status not in (FAILED, SHED):
+            # before delivery, so a respawn the client triggers next
+            # warms this point too
+            self._note_recent_point(tracked.job.point)
         delivered = tracked.ticket.resolve(response)
         if delivered and self._journal is not None:
             # terminal record strictly *after* delivery: a crash in the
@@ -1003,8 +1006,6 @@ class ServingCluster:
                 response.status,
                 reason=response.reason,
             )
-        if self._supervisor is not None and response.status not in (FAILED, SHED):
-            self._note_recent_point(tracked.job.point)
 
     def _note_recent_point(self, point: SpecPoint) -> None:
         """Remember a served point for the respawn warm-up set."""
@@ -1161,10 +1162,9 @@ class ServingCluster:
         self._dispatch(new_shard, tracked.job, tracked.index)
 
     def kill_shard(self, name: str) -> None:
-        """Chaos hook: hard-kill one shard and run the death path now."""
-        shard = self.shards[name]
-        shard.kill()
-        self._on_shard_down(shard)
+        """Chaos hook: hard-kill one shard; it reports down, which runs
+        the death path now."""
+        self.shards[name].kill()
 
     def stall_shard(self, name: str, seconds: float) -> bool:
         """Chaos hook: suppress one process shard's heartbeats."""
@@ -1187,11 +1187,6 @@ class ServingCluster:
             return False
         return True
 
-    def _supervisor_now(self) -> float:
-        """Supervision timebase: heartbeat clock in process mode (the
-        one staleness is measured on), the injected clock inline."""
-        return MONOTONIC() if self.mode == PROCESS else float(self._clock())
-
     def check_shards(self) -> dict:
         """One health-aggregation pass; rebalances the ring as needed.
 
@@ -1208,34 +1203,29 @@ class ServingCluster:
         by shard name.
         """
         actions: "dict[str, str]" = {}
-        now = self._supervisor_now()
+        # heartbeats are timed on the front door's clock too
+        now = float(self._clock())
         for name, shard in list(self.shards.items()):
             health = shard.health()
-            stale = False
-            if self.mode == PROCESS and shard.alive:
-                silent = MONOTONIC() - shard.last_heartbeat
-                if silent > self.heartbeat_timeout:
-                    first = self._stale_since.setdefault(name, now)
-                    if now - first >= self.rebalance_debounce:
-                        stale = True
-                    else:
-                        # suspect: stale, but inside the debounce
-                        # window — no eviction, no quarantine
-                        actions[name] = "suspect"
-                        continue
-                else:
-                    self._stale_since.pop(name, None)
+            stale = shard.alive and shard.silent_for() > self.heartbeat_timeout
+            if stale:
+                first = self._stale_since.setdefault(name, now)
+                if now - first < self.rebalance_debounce:
+                    # suspect: stale, but inside the debounce window —
+                    # no eviction, no quarantine
+                    actions[name] = "suspect"
+                    continue
+            self._stale_since.pop(name, None)
             if not shard.alive or stale:
-                self._stale_since.pop(name, None)
-                if stale:
-                    shard.kill()
                 with self._lock:
-                    pending_here = any(
+                    owned = name in self.ring or any(
                         t.shard == name for t in self._inflight.values()
                     )
-                    in_ring = name in self.ring
-                if in_ring or pending_here:
+                if stale:
+                    shard.kill()  # it reports down: the death path runs
+                elif owned:
                     self._on_shard_down(shard)
+                if owned:
                     actions[name] = "removed-dead"
                 decision = self._maybe_respawn(name, now)
                 if decision is not None:
@@ -1298,35 +1288,23 @@ class ServingCluster:
                 ).inc()
         return "respawned"
 
-    def _respawn_shard(self, name: str):
-        """Rebuild one shard from its stashed config and warm it."""
-        if self.mode == INLINE:
-            shard = self._make_inline_shard(name)
-            self.shards[name] = shard
-        else:
-            shard = self._make_process_shard(name)
-            shard.launch()
-            shard.wait_ready(timeout=30.0)
-            self.shards[name] = shard
+    def _respawn_shard(self, name: str) -> "Shard | ProcessShard":
+        """Build a fresh incarnation of one shard and warm it."""
+        shard = self._make_shard(name)
+        shard.wait_ready(timeout=30.0)
+        self.shards[name] = shard
         with self._lock:
             self._outstanding[name] = 0
         self._warm_shard(shard)
         return shard
 
-    def _warm_shard(self, shard) -> None:
+    def _warm_shard(self, shard: "Shard | ProcessShard") -> None:
         """Promote recently served keys into the fresh shard's memory
         tier from the shared store (no recomputation)."""
         with self._lock:
             points = list(self._recent_points)
-        if not points:
-            return
-        if self.mode == PROCESS:
-            shard._send(
-                {"op": "warm", "points": [p.to_dict() for p in points]}
-            )
-        else:
-            for p in points:
-                shard.view.get(p)
+        if points:
+            shard.warm(points)
 
     def _monitor_loop(self, interval: float) -> None:
         while not self._monitor_stop.wait(interval):
@@ -1505,7 +1483,8 @@ class ServingCluster:
 __all__ = [
     "INLINE",
     "PROCESS",
-    "InlineShard",
     "ProcessShard",
     "ServingCluster",
+    "Shard",
+    "ShardConfig",
 ]

@@ -35,7 +35,7 @@ checkpoint/recovery discipline PR 3 proved bit-identical for PxPOTRF:
   detects and ignores line by line (a torn record was never
   acknowledged).
 * Record kinds mirror a job's front-door lifecycle: ``accepted``
-  (the full v2 job wire document plus the job's content-address),
+  (the job's full current wire document plus its content-address),
   ``assigned`` (which shard), and the terminal pair ``completed`` /
   ``shed``.  Records are keyed by the job's **content-address**
   (:meth:`SpecPoint.key`), so replay is idempotent: resubmitting a

@@ -20,9 +20,8 @@ doors with the same ring state assign every key identically, which is
 what makes the cluster determinism suite possible.
 
 :meth:`HashRing.nodes_for` returns the first *k* distinct owners
-clockwise — the preference list used for bounded-load spill (route to
-the second choice when the owner is saturated) and for resubmission
-after a shard death.
+clockwise — the preference list a key falls through as its owners
+leave the ring (the order of resubmission after shard deaths).
 """
 
 from __future__ import annotations
@@ -100,8 +99,8 @@ class HashRing:
         """The first ``count`` distinct owners clockwise from ``key``.
 
         The preference list: element 0 is :meth:`node_for`'s answer,
-        later elements are the fallbacks bounded-load spill and
-        post-death resubmission walk in order.
+        later elements are the owners the key falls through to, in
+        order, as earlier ones are removed.
         """
         if not self._points or count < 1:
             return []

@@ -171,10 +171,10 @@ class FactorizationService:
         ``None`` (default) disables caching; ``"default"`` or an
         explicit :class:`ResultCache` serves repeat points without
         simulating (cache hits spend no budget).
-    breaker_threshold / breaker_cooldown / half_open_probes:
-        Per-algorithm :class:`CircuitBreaker` configuration.
-    canary_n:
-        Problem size of the half-open probe runs.
+    breaker_threshold / breaker_cooldown:
+        Per-algorithm :class:`CircuitBreaker` configuration (one
+        half-open probe; its canary runs at :func:`canary_point`'s
+        default size).
     default_budget:
         Budget applied to jobs that carry none.
     clock:
@@ -204,8 +204,6 @@ class FactorizationService:
         cache: "ResultCache | str | None" = None,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 30.0,
-        half_open_probes: int = 1,
-        canary_n: int = 16,
         default_budget: "Budget | None" = None,
         clock: Clock = MONOTONIC,
         tracing: bool = False,
@@ -228,8 +226,6 @@ class FactorizationService:
         self.cache: "ResultCache | None" = cache
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_cooldown = float(breaker_cooldown)
-        self.half_open_probes = int(half_open_probes)
-        self.canary_n = int(canary_n)
         self.default_budget = default_budget
         self._clock = clock
         self._queue: BoundedPriorityQueue[Job] = BoundedPriorityQueue(
@@ -286,7 +282,6 @@ class FactorizationService:
                 b = CircuitBreaker(
                     failure_threshold=self.breaker_threshold,
                     cooldown=self.breaker_cooldown,
-                    half_open_probes=self.half_open_probes,
                     clock=self._clock,
                     on_transition=on_transition,
                 )
@@ -602,7 +597,7 @@ class FactorizationService:
     def _canary(self, point: SpecPoint) -> bool:
         """Run the cheap probe; True when the backend looks healthy."""
         try:
-            execute_point(canary_point(point, self.canary_n))
+            execute_point(canary_point(point))
         except Exception:  # noqa: BLE001 - any failure means unhealthy
             METRICS.counter(
                 "repro_service_canary_runs_total",
@@ -858,19 +853,17 @@ class FactorizationService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def stop(self, *, shed_pending: bool = True, timeout: float = 10.0) -> None:
+    def stop(self, *, timeout: float = 10.0) -> None:
         """Shut down: refuse new work, resolve the backlog, join workers.
 
-        ``shed_pending=True`` (default) resolves every queued job with
-        a ``shed``/``shutdown`` response immediately; ``False`` lets
-        the workers drain the backlog first (``workers=0`` callers
-        should pump :meth:`run_pending` before stopping).
+        Every queued job resolves with a ``shed``/``shutdown`` response
+        immediately (``workers=0`` callers pump :meth:`run_pending`
+        first to run it instead).
         """
         with self._lock:
             self._closed = True
-        if shed_pending:
-            for job in self._queue.drain():
-                self._finish_shed(job, reason="shutdown")
+        for job in self._queue.drain():
+            self._finish_shed(job, reason="shutdown")
         self._queue.close()
         for t in self._threads:
             t.join(timeout=timeout)

@@ -1,11 +1,13 @@
 """The cluster's shared, content-addressed result store.
 
 One on-disk directory shared by every shard, plus one small in-memory
-"warm" tier per shard.  Each shard reads and writes through a
-:class:`ShardStoreView`: a :class:`~repro.experiments.cache.ResultCache`
-with a 512-entry memory tier, the shard recorded as each entry's
-producer, and per-tier accounting.  A lookup walks the tiers
-cheapest-first:
+"warm" tier per shard incarnation.  Each incarnation of a shard opens
+its own :class:`ShardStoreView` over the shared directory: a
+:class:`~repro.experiments.cache.ResultCache` with a 512-entry memory
+tier, the shard recorded as each entry's producer, and per-tier
+accounting.  A respawned shard therefore starts cold, as a restarted
+process does, and is warmed from the shared directory.  A lookup walks
+the tiers cheapest-first:
 
 ``memory``
     The shard's own bounded LRU of recently served entries.  The
@@ -21,7 +23,7 @@ cheapest-first:
     redundant storage, save redundant work and cross-shard traffic.
 ``disk``
     The on-disk store, entry produced by this shard earlier (e.g.
-    evicted from the memory tier, or a previous process incarnation).
+    evicted from the memory tier, or a previous incarnation).
 
 Entries are the result cache's (see :mod:`repro.experiments.cache`)
 and the disk tier is its :class:`~repro.util.store.EntryStore`: atomic,
@@ -58,7 +60,7 @@ from typing import Callable
 from repro.experiments.cache import ResultCache
 from repro.experiments.cache import measurement_attestation  # noqa: F401 - re-exported
 from repro.observability.metrics import METRICS
-from repro.util.store import DISK, MEMORY, code_version
+from repro.util.store import DISK, MEMORY
 
 #: Lookup outcome tiers (metric label values, cheapest first).
 TIER_MEMORY = "memory"
@@ -73,37 +75,9 @@ _DAMAGE_METRIC = {
 }
 
 
-class SharedResultStore:
-    """One shared on-disk store; hands out per-shard views.
-
-    Parameters
-    ----------
-    directory:
-        Root of the shared cache tree.  Shard processes constructed
-        with the same directory (and code version) see each other's
-        results immediately after the atomic rename.
-    version:
-        Code-version token, defaulting to the package digest (see
-        :func:`repro.util.store.code_version`); tests inject fixed
-        tokens.
-    """
-
-    def __init__(self, directory: str, *, version: "str | None" = None) -> None:
-        self.directory = str(directory)
-        self.version = version if version is not None else code_version()
-        self._views: "dict[str, ShardStoreView]" = {}
-
-    def view(self, shard_id: str) -> "ShardStoreView":
-        """The (memoized) view shard ``shard_id`` reads/writes through."""
-        if shard_id not in self._views:
-            self._views[shard_id] = ShardStoreView(
-                self.directory, shard_id, version=self.version
-            )
-        return self._views[shard_id]
-
-
 class ShardStoreView(ResultCache):
-    """One shard's handle on the shared store (memory tier + provenance).
+    """One shard incarnation's handle on the shared store (memory tier
+    + provenance).
 
     Thread-safe: a shard's worker threads share one view.
     """
@@ -159,7 +133,6 @@ class ShardStoreView(ResultCache):
 
 
 __all__ = [
-    "SharedResultStore",
     "ShardStoreView",
     "TIER_DISK",
     "TIER_MEMORY",

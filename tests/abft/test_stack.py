@@ -17,7 +17,7 @@ from repro.serving.api import (
 )
 from repro.serving.service import FactorizationService
 from repro.serving.store import (
-    SharedResultStore,
+    ShardStoreView,
     TIER_MISS,
     measurement_attestation,
 )
@@ -33,9 +33,11 @@ def _point():
 
 class TestStoreAttestation:
     def test_drifted_payload_is_a_counted_miss_and_put_heals(self, tmp_path):
-        store = SharedResultStore(str(tmp_path / "store"), version="test")
+        store = str(tmp_path / "store")
         point = _point()
-        path = store.view("shard-0").put(point, MEASUREMENT, wall_time=0.5)
+        path = ShardStoreView(store, "shard-0", version="test").put(
+            point, MEASUREMENT, wall_time=0.5
+        )
 
         # flip one stored value but re-stamp the *entry* digest, the
         # attack the envelope check cannot see; only the measurement
@@ -54,9 +56,7 @@ class TestStoreAttestation:
         corrupt = (
             METRICS.value("repro_cache_lookups_total", result="corrupt") or 0
         )
-        reader = SharedResultStore(
-            store.directory, version="test"
-        ).view("shard-9")
+        reader = ShardStoreView(store, "shard-9", version="test")
         assert reader.get(point) is None
         assert reader.stats()[TIER_MISS] == 1
         after = METRICS.value(
@@ -69,9 +69,7 @@ class TestStoreAttestation:
 
         # the recompute's write-back heals the entry
         reader.put(point, MEASUREMENT, wall_time=0.5)
-        fresh = SharedResultStore(
-            store.directory, version="test"
-        ).view("shard-2")
+        fresh = ShardStoreView(store, "shard-2", version="test")
         entry = fresh.get(point)
         assert entry is not None
         assert entry["measurement"] == MEASUREMENT
@@ -84,15 +82,15 @@ class TestStoreAttestation:
         assert measurement_attestation(m) == measurement_attestation(blob)
 
     def test_legacy_entries_without_attestation_still_serve(self, tmp_path):
-        store = SharedResultStore(str(tmp_path / "store"), version="test")
+        store = str(tmp_path / "store")
         point = _point()
-        path = store.view("shard-0").put(point, MEASUREMENT, wall_time=0.5)
+        path = ShardStoreView(store, "shard-0", version="test").put(
+            point, MEASUREMENT, wall_time=0.5
+        )
         _, measurement, meta = read_entry(path)
         del meta["attestation"]
         write_entry(path, measurement, meta)
-        reader = SharedResultStore(
-            store.directory, version="test"
-        ).view("shard-3")
+        reader = ShardStoreView(store, "shard-3", version="test")
         assert reader.get(point) is not None
 
 

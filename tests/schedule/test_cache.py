@@ -33,7 +33,7 @@ from repro.schedule import (
     set_default_cache,
 )
 from repro.sequential.registry import run_algorithm
-from repro.serving.store import SharedResultStore
+from repro.serving.store import ShardStoreView
 
 # One run shape, drawn coordinate-wise.  ``block`` only matters for
 # the blocked layout; the fault seed ``None`` means fault-free.
@@ -280,7 +280,7 @@ class ResultView(ScheduleView):
 
 class ShardView(ResultView):
     def fresh(self, directory):
-        return SharedResultStore(str(directory), version="v").view("shard-0")
+        return ShardStoreView(str(directory), "shard-0", version="v")
 
 
 @pytest.fixture(params=[ScheduleView, ResultView, ShardView],

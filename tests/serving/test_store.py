@@ -27,7 +27,7 @@ from repro.serving.api import DONE, chol_request
 from repro.serving.cluster import ServingCluster
 from repro.serving.service import FactorizationService
 from repro.serving.store import (
-    SharedResultStore,
+    ShardStoreView,
     TIER_DISK,
     TIER_MEMORY,
     TIER_MISS,
@@ -38,8 +38,8 @@ from tests.store_entries import read_entry, write_entry
 MEASUREMENT = {"words": 123.0, "messages": 4.0}
 
 
-def _store(tmp_path):
-    return SharedResultStore(str(tmp_path / "store"), version="test")
+def _view(tmp_path, shard):
+    return ShardStoreView(str(tmp_path / "store"), shard, version="test")
 
 
 def _point():
@@ -51,9 +51,8 @@ def _lookups(result):
 
 
 def test_truncated_entry_is_a_miss_and_put_heals_it(tmp_path):
-    store = _store(tmp_path)
     point = _point()
-    writer = store.view("shard-0")
+    writer = _view(tmp_path, "shard-0")
     path = writer.put(point, MEASUREMENT, wall_time=0.5)
 
     # truncate mid-file: the digest check fails on the next disk read
@@ -62,13 +61,13 @@ def test_truncated_entry_is_a_miss_and_put_heals_it(tmp_path):
         fh.write(blob[: len(blob) // 2])
 
     # a fresh view (empty memory tier) must hit the damaged disk entry
-    reader = SharedResultStore(store.directory, version="test").view("shard-0")
+    reader = _view(tmp_path, "shard-0")
     assert reader.get(point) is None
     assert reader.stats()[TIER_MISS] == 1
 
     # the recompute write-back heals the file in place
     reader.put(point, MEASUREMENT, wall_time=0.5)
-    healed = SharedResultStore(store.directory, version="test").view("shard-0")
+    healed = _view(tmp_path, "shard-0")
     entry = healed.get(point)
     assert entry is not None
     assert entry["measurement"] == MEASUREMENT
@@ -76,9 +75,8 @@ def test_truncated_entry_is_a_miss_and_put_heals_it(tmp_path):
 
 
 def test_digest_valid_but_structurally_torn_entry_counts_as_torn(tmp_path):
-    store = _store(tmp_path)
     point = _point()
-    view = store.view("shard-0")
+    view = _view(tmp_path, "shard-0")
     path = view.put(point, MEASUREMENT, wall_time=0.5)
 
     # rewrite the entry with a non-mapping measurement and a *matching*
@@ -91,7 +89,7 @@ def test_digest_valid_but_structurally_torn_entry_counts_as_torn(tmp_path):
         "repro_cluster_store_torn_total", shard="shard-1"
     ) or 0
     lookups = {r: _lookups(r) for r in ("hit", "corrupt")}
-    reader = SharedResultStore(store.directory, version="test").view("shard-1")
+    reader = _view(tmp_path, "shard-1")
     assert reader.get(point) is None
     assert reader.stats()[TIER_MISS] == 1
     after = METRICS.value("repro_cluster_store_torn_total", shard="shard-1")
@@ -103,16 +101,15 @@ def test_digest_valid_but_structurally_torn_entry_counts_as_torn(tmp_path):
     # heal on write-back, then the same view serves it from memory and
     # a fresh view from disk
     reader.put(point, MEASUREMENT, wall_time=0.5)
-    fresh = SharedResultStore(store.directory, version="test").view("shard-2")
+    fresh = _view(tmp_path, "shard-2")
     entry = fresh.get(point)
     assert entry is not None
     assert entry["measurement"] == MEASUREMENT
 
 
 def test_memory_tier_shields_a_view_from_later_disk_damage(tmp_path):
-    store = _store(tmp_path)
     point = _point()
-    view = store.view("shard-0")
+    view = _view(tmp_path, "shard-0")
     path = view.put(point, MEASUREMENT, wall_time=0.5)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{")  # destroy the disk entry outright
@@ -240,7 +237,7 @@ def test_concurrent_lookups_lose_no_count(tmp_path):
     import sys
     import threading
 
-    view = _store(tmp_path).view("shard-0")
+    view = _view(tmp_path, "shard-0")
     points = [dataclasses.replace(_point(), seed=s) for s in range(16)]
     for point in points:
         view.put(point, MEASUREMENT, wall_time=0.5)

@@ -153,7 +153,10 @@ def test_inline_respawn_warms_from_the_shared_store(tmp_path):
         cluster.clock.advance(1.0)
         cluster.check_shards()
         assert "shard-0" in cluster.ring
-        # re-serving the same specs hits a warm tier, recomputes nothing
+        # re-serving the same specs hits a warm tier, recomputes nothing:
+        # the respawned shard starts cold, so only the warm-up can have
+        # put them in its memory tier
+        before = cluster.health()["store"]
         again = [
             cluster.submit(j)
             for j in repeated_spec_workload(4, seed=0, unique=4)
@@ -162,8 +165,61 @@ def test_inline_respawn_warms_from_the_shared_store(tmp_path):
         responses = [t.result(timeout=0) for t in again]
         assert all(r.status == DONE for r in responses)
         assert all(r.detail.get("cached") for r in responses)
+        after = cluster.health()["store"]
+        assert {k: after[k] - before[k] for k in after} == {
+            "memory": 4, "shared": 0, "disk": 0, "miss": 0, "puts": 0,
+        }
+        assert "shard-0" in {shard for _, shard in cluster.assignments[-4:]}
     finally:
         cluster.stop()
+
+
+def _respawned_shard_state(store_dir, mode):
+    """Serve 8 jobs, kill shard-0, let the supervisor respawn it; the
+    respawned shard's store stats and the cluster's warm events."""
+    cluster = ServingCluster(
+        shards=2,
+        mode=mode,
+        workers_per_shard=1,
+        store_dir=store_dir,
+        supervise=True,
+        restart_backoff_base=0.0,
+        telemetry=True,
+    )
+    try:
+        jobs = repeated_spec_workload(8, seed=0, unique=4)
+        tickets = [cluster.submit(j) for j in jobs]
+        cluster.run_pending()
+        assert all(t.result(timeout=120).status == DONE for t in tickets)
+        cluster.kill_shard("shard-0")
+        # backoff 0: the first pass schedules the respawn, the next runs it
+        assert cluster.check_shards()["shard-0"] == "backoff"
+        assert cluster.check_shards()["shard-0"] == "respawned"
+        # a process shard answers the health RPC after the warm op, and
+        # ships the warm event before that answer
+        store = cluster.health()["shards"]["shard-0"]["store"]
+        warms = [
+            (e.shard, e.attrs)
+            for e in cluster.telemetry.recent()
+            if e.kind == "warm"
+        ]
+        return store, warms
+    finally:
+        cluster.stop()
+
+
+def test_a_respawned_shard_starts_cold_on_either_transport(tmp_path):
+    inline = _respawned_shard_state(str(tmp_path / "inline"), "inline")
+    process = _respawned_shard_state(str(tmp_path / "process"), "process")
+    assert inline == process
+    store, warms = inline
+    # a fresh view: nothing served or written yet; the warm-up read the
+    # 8 recent points from disk (4 distinct, each twice: disk or shared
+    # first, then memory)
+    assert store["memory"] == 4
+    assert store["shared"] + store["disk"] == 4
+    assert store["miss"] == store["puts"] == 0
+    assert warms == [("shard-0", (("count", 8),))]
 
 
 def test_exhausted_shard_stays_out_of_the_ring(tmp_path):
