@@ -4,8 +4,8 @@ Every other bench in this repository measures the *modeled* machine
 (words, messages, flops along the paper's bounds).  This one measures
 the *simulator*: how long a run takes on the host, comparing the
 batched interval-charging fast path (the default) against the
-element-wise reference path (``REPRO_SLOW_PATH=1`` /
-``Machine(batched=False)`` + :func:`repro.util.fastpath.set_fastpath`).
+element-wise reference path (``REPRO_SLOW_PATH=1``, or
+:func:`repro.util.fastpath.set_fastpath` before the machine is built).
 
 By default the fast path includes the schedule JIT
 (:mod:`repro.schedule`): each point takes one untimed *capture* run
@@ -176,7 +176,7 @@ def _run_once(point: BenchPoint, a0: np.ndarray, *, fast: bool):
     was = fastpath_enabled()
     set_fastpath(fast)
     try:
-        machine = SequentialMachine(point.M, batched=fast)
+        machine = SequentialMachine(point.M)
         lay = make_layout(
             point.layout, point.n, block=point.params.get("layout_block")
         )

@@ -55,7 +55,7 @@ from repro.machine.tracing import (
     WriteEvent,
 )
 from repro.observability.spans import NULL_PROFILER
-from repro.util.fastpath import default_batched, fastpath_enabled
+from repro.util.fastpath import fastpath_enabled
 from repro.util.intervals import IntervalSet, RunBatch
 from repro.util.validation import check_positive_int
 
@@ -111,13 +111,15 @@ class HierarchicalMachine:
         stops growing and counts dropped events behind an explicit
         overflow marker (see :class:`~repro.machine.tracing.MachineTrace`).
         ``None`` (default) keeps the historical unbounded behaviour.
-    batched:
-        Whether algorithms should take the batched charging path
-        (:meth:`charge_intervals` and friends) instead of per-transfer
-        ``read``/``write`` calls.  The two paths are count-identical —
-        the golden equality tests assert it — so this is purely a
-        simulator-speed switch.  ``None`` (default) resolves from the
-        environment: on unless ``REPRO_SLOW_PATH=1``.
+
+    Whether algorithms take the batched charging path
+    (:meth:`charge_intervals` and friends, and the recursions' charge
+    plans) instead of per-transfer ``read``/``write`` calls is fixed
+    when the machine is built, from
+    :func:`~repro.util.fastpath.fastpath_enabled`, and kept in
+    :attr:`batched`.  The two paths are count-identical — the golden
+    equality tests assert it — so this is purely a simulator-speed
+    switch.
     """
 
     def __init__(
@@ -127,7 +129,6 @@ class HierarchicalMachine:
         enforce_capacity: bool = True,
         record_trace: bool = False,
         trace_max_events: int | None = None,
-        batched: bool | None = None,
     ) -> None:
         caps = [check_positive_int("capacity", c) for c in capacities]
         if not caps:
@@ -156,7 +157,7 @@ class HierarchicalMachine:
         #: the counters, so counts are bit-identical either way.
         self.guard = None
         #: Whether algorithms should use the batched charging APIs.
-        self.batched: bool = default_batched() if batched is None else bool(batched)
+        self.batched: bool = fastpath_enabled()
         #: How many transfer batches took the O(#intervals) fast path.
         self.batch_hits: int = 0
         #: Live :class:`~repro.schedule.compiled.ScheduleRecorder`
@@ -398,14 +399,6 @@ class HierarchicalMachine:
         """Charge every transfer of ``batch`` as a read (slow → fast)."""
         if batch.is_write.any():
             batch = batch.with_writes(False)
-        self.charge_intervals(batch, peak_extra=peak_extra)
-
-    def write_batch(
-        self, batch: RunBatch, *, peak_extra: int | None = None
-    ) -> None:
-        """Charge every transfer of ``batch`` as a write (fast → slow)."""
-        if not batch.is_write.all():
-            batch = batch.with_writes(True)
         self.charge_intervals(batch, peak_extra=peak_extra)
 
     def _note_batch_peak(self, extra: int) -> None:
@@ -653,12 +646,10 @@ class SequentialMachine(HierarchicalMachine):
         enforce_capacity: bool = True,
         record_trace: bool = False,
         trace_max_events: int | None = None,
-        batched: bool | None = None,
     ) -> None:
         super().__init__(
             [M],
             enforce_capacity=enforce_capacity,
             record_trace=record_trace,
             trace_max_events=trace_max_events,
-            batched=batched,
         )

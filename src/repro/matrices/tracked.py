@@ -43,6 +43,8 @@ from repro.util.validation import check_square
 #: Entry cap on the per-matrix interval memo (dropped wholesale past it).
 _INTERVAL_CACHE_MAX = 1 << 16
 
+_new_ref = object.__new__
+
 
 class TrackedMatrix:
     """A matrix in slow memory, bound to a layout and a machine.
@@ -160,45 +162,6 @@ class TrackedMatrix:
         (empty rectangles, and their flags, dropped)."""
         return RunBatch.from_runs(*self.rect_runs(rects), is_write=is_write)
 
-    def load_panel(
-        self, r0: int, r1: int, c0: int, c1: int, *, peak_extra: int | None = None
-    ) -> np.ndarray:
-        """Stream the panel through fast memory column by column.
-
-        Charges one batched read per column (count-identical to the
-        load/release loop the element-wise algorithms run) and returns
-        the panel's values.  ``peak_extra`` follows
-        :meth:`~repro.machine.core.HierarchicalMachine.charge_intervals`.
-        """
-        self.machine.read_batch(
-            self.column_batch(r0, r1, c0, c1), peak_extra=peak_extra
-        )
-        return self.data[r0:r1, c0:c1].copy()
-
-    def store_panel(
-        self,
-        r0: int,
-        r1: int,
-        c0: int,
-        c1: int,
-        values: np.ndarray,
-        *,
-        peak_extra: int | None = None,
-    ) -> None:
-        """Write the panel back column by column (batched twin of
-        per-column ``store`` calls)."""
-        target = self.data[r0:r1, c0:c1]
-        v = np.asarray(values, dtype=np.float64)
-        if v.shape != target.shape:
-            raise ValueError(
-                f"value shape {v.shape} != panel shape {target.shape}"
-            )
-        target[...] = v
-        self.machine.write_batch(
-            self.column_batch(r0, r1, c0, c1, is_write=True),
-            peak_extra=peak_extra,
-        )
-
     def block(
         self, r0: int, r1: int, c0: int, c1: int
     ) -> "BlockRef":
@@ -259,15 +222,15 @@ class BlockRef:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        r, c = self.r1 - self.r0, self.c1 - self.c0
+        return (c, r) if self.transposed else (r, c)
 
     @property
     def T(self) -> "BlockRef":
         """The transposed view of the same storage region."""
-        return BlockRef(
-            self.matrix, self.r0, self.r1, self.c0, self.c1,
-            transposed=not self.transposed,
-        )
+        v = self._rect(self.r0, self.r1, self.c0, self.c1)
+        v.transposed = not self.transposed
+        return v
 
     @property
     def intervals(self) -> IntervalSet:
@@ -281,6 +244,18 @@ class BlockRef:
 
     # -- splitting -----------------------------------------------------------
 
+    def _rect(self, r0: int, r1: int, c0: int, c1: int) -> "BlockRef":
+        """Storage rectangle ``[r0, r1) × [c0, c1)`` in this orientation.
+
+        Skips the constructor's bounds check: every caller cuts inside
+        ``self``, which passed it.  The recursions split once per node,
+        so this is their hot path.
+        """
+        v = _new_ref(BlockRef)
+        v.matrix, v.transposed = self.matrix, self.transposed
+        v.r0, v.r1, v.c0, v.c1 = r0, r1, c0, c1
+        return v
+
     def sub(self, r0: int, r1: int, c0: int, c1: int) -> "BlockRef":
         """Sub-block in *logical* (post-transpose) local coordinates."""
         if self.transposed:
@@ -289,39 +264,49 @@ class BlockRef:
             raise ValueError("row range outside block")
         if not (0 <= c0 <= c1 <= self.c1 - self.c0):
             raise ValueError("column range outside block")
-        return BlockRef(
-            self.matrix,
-            self.r0 + r0, self.r0 + r1,
-            self.c0 + c0, self.c0 + c1,
-            transposed=self.transposed,
+        return self._rect(
+            self.r0 + r0, self.r0 + r1, self.c0 + c0, self.c0 + c1
         )
+
+    def _cut(self, k: int, rows: bool) -> tuple["BlockRef", "BlockRef"]:
+        """The two parts of a cut ``k`` storage rows (or columns) in."""
+        r0, r1, c0, c1 = self.r0, self.r1, self.c0, self.c1
+        if not 0 <= k <= (r1 - r0 if rows else c1 - c0):
+            raise ValueError(f"split point {k} outside block")
+        if rows:
+            return self._rect(r0, r0 + k, c0, c1), self._rect(r0 + k, r1, c0, c1)
+        return self._rect(r0, r1, c0, c0 + k), self._rect(r0, r1, c0 + k, c1)
 
     def split_rows(self, k: int) -> tuple["BlockRef", "BlockRef"]:
         """Split logically at row ``k`` into (top, bottom)."""
-        return (
-            self.sub(0, k, 0, self.cols),
-            self.sub(k, self.rows, 0, self.cols),
-        )
+        return self._cut(k, not self.transposed)
 
     def split_cols(self, k: int) -> tuple["BlockRef", "BlockRef"]:
         """Split logically at column ``k`` into (left, right)."""
-        return (
-            self.sub(0, self.rows, 0, k),
-            self.sub(0, self.rows, k, self.cols),
-        )
+        return self._cut(k, self.transposed)
 
     def quadrants(
         self, kr: int, kc: int
     ) -> tuple["BlockRef", "BlockRef", "BlockRef", "BlockRef"]:
         """Split into (11, 12, 21, 22) at logical row ``kr`` / col ``kc``."""
-        return (
-            self.sub(0, kr, 0, kc),
-            self.sub(0, kr, kc, self.cols),
-            self.sub(kr, self.rows, 0, kc),
-            self.sub(kr, self.rows, kc, self.cols),
-        )
+        t = self.transposed
+        kr, kc = (kc, kr) if t else (kr, kc)  # now storage row / column
+        r0, r1, c0, c1 = self.r0, self.r1, self.c0, self.c1
+        if not (0 <= kr <= r1 - r0 and 0 <= kc <= c1 - c0):
+            raise ValueError(f"split point ({kr}, {kc}) outside block")
+        rm, cm, rect = r0 + kr, c0 + kc, self._rect
+        q12, q21 = rect(r0, rm, cm, c1), rect(rm, r1, c0, cm)
+        if t:  # storage quadrant 12 is the logical 21, and vice versa
+            q12, q21 = q21, q12
+        return rect(r0, rm, c0, cm), q12, q21, rect(rm, r1, cm, c1)
 
     # -- numerical access (free) ----------------------------------------------
+
+    def view(self) -> np.ndarray:
+        """The values in place, uncharged: a writable NumPy view (use
+        inside fitted scopes)."""
+        a = self.matrix.data[self.r0 : self.r1, self.c0 : self.c1]
+        return a.T if self.transposed else a
 
     def peek(self) -> np.ndarray:
         """Copy of the values, uncharged (use inside fitted scopes)."""
@@ -379,4 +364,6 @@ class BlockRef:
 
 def footprint(refs: Sequence[BlockRef]) -> IntervalSet:
     """Union of the address runs of several blocks (scope footprints)."""
+    if len(refs) == 1:
+        return refs[0].intervals
     return union_all([ref.intervals for ref in refs])

@@ -12,18 +12,18 @@ size regimes of its proof are exercised in the benches), and
 Claim 3.3 the latency Θ(n³/M^{3/2}) on recursive block storage vs
 Θ(n³/M) on column-major storage.
 
-This scope recursion is the reference charging path.  It serves the
-public kernel and every ``toledo``/``square-recursive`` run that is
-observed, guarded, fault- or ABFT-armed or multi-level; an unobserved
-run on a single-level batched machine walks the same recursion as a
-:class:`~repro.sequential.charge_plan.ChargePlan` and charges it as
-one batch, count-identical to this path.
+Each node is charged by the run's charging object
+(:mod:`~repro.sequential.charge_plan`): live, through a scope per
+node, for the public kernel and every observed, guarded, fault- or
+ABFT-armed or multi-level run; planned, and charged as one batch, for
+an unobserved ``toledo``/``square-recursive`` run on one fast level.
 """
 
 from __future__ import annotations
 
 from repro.machine.core import ModelError
-from repro.matrices.tracked import BlockRef, footprint
+from repro.matrices.tracked import BlockRef
+from repro.sequential.charge_plan import ScopeCharging
 from repro.sequential.flops import gemm_flops
 from repro.util.imath import split_point
 
@@ -43,53 +43,46 @@ def rmatmul(C: BlockRef, A: BlockRef, B: BlockRef, *, subtract: bool = False) ->
         raise ValueError(
             f"shape mismatch: C{C.shape} += A{A.shape} · B{B.shape}"
         )
-    if C.matrix.machine is not A.matrix.machine or C.matrix.machine is not B.matrix.machine:
-        raise ValueError("rmatmul operands must share one machine")
-    _rmatmul(C, A, B, -1.0 if subtract else 1.0)
-
-
-def _rmatmul(C: BlockRef, A: BlockRef, B: BlockRef, sign: float) -> None:
     machine = C.matrix.machine
+    if machine is not A.matrix.machine or machine is not B.matrix.machine:
+        raise ValueError("rmatmul operands must share one machine")
+    _rmatmul(ScopeCharging(machine), C, A, B, -1.0 if subtract else 1.0)
+
+
+def _rmatmul(ch, C: BlockRef, A: BlockRef, B: BlockRef, sign: float) -> None:
     m, k = A.shape
     r = B.shape[1]
-    with machine.profiler.span("matmul"), machine.scope(
-        footprint([A, B, C]), C.intervals, write_covered=True
-    ) as sc:
-        if sc.fits:
-            c = C.peek()
-            c += sign * (A.peek() @ B.peek())
-            C.poke(c)
-            machine.add_flops(gemm_flops(m, k, r))
+    with ch.node("matmul", (A, B, C), C) as fits:
+        if fits:
+            c = C.view()
+            if sign < 0:  # c - p is c + (-1·p), bit for bit
+                c -= A.peek() @ B.peek()
+            else:
+                c += A.peek() @ B.peek()
+            ch.machine.add_flops(gemm_flops(m, k, r))
             return
-        _rmatmul_recurse(C, A, B, sign, machine, m, k, r)
-
-
-def _rmatmul_recurse(
-    C: BlockRef, A: BlockRef, B: BlockRef, sign: float, machine,
-    m: int, k: int, r: int,
-) -> None:
-    """Split a too-big multiplication into smaller scopes."""
-    big = max(m, k, r)
-    if big == 1:
-        raise ModelError(
-            f"fast memory (M={machine.M}) cannot hold even a "
-            "1x1x1 multiplication working set"
-        )
-    if m == big:
-        h = split_point(m)
-        a_top, a_bot = A.split_rows(h)
-        c_top, c_bot = C.split_rows(h)
-        _rmatmul(c_top, a_top, B, sign)
-        _rmatmul(c_bot, a_bot, B, sign)
-    elif k == big:
-        h = split_point(k)
-        a_left, a_right = A.split_cols(h)
-        b_top, b_bot = B.split_rows(h)
-        _rmatmul(C, a_left, b_top, sign)
-        _rmatmul(C, a_right, b_bot, sign)
-    else:
-        h = split_point(r)
-        b_left, b_right = B.split_cols(h)
-        c_left, c_right = C.split_cols(h)
-        _rmatmul(c_left, A, b_left, sign)
-        _rmatmul(c_right, A, b_right, sign)
+        # too big: split the largest dimension
+        big = max(m, k, r)
+        if big == 1:
+            raise ModelError(
+                f"fast memory (M={ch.M}) cannot hold even a "
+                "1x1x1 multiplication working set"
+            )
+        if m == big:
+            h = split_point(m)
+            a_top, a_bot = A.split_rows(h)
+            c_top, c_bot = C.split_rows(h)
+            _rmatmul(ch, c_top, a_top, B, sign)
+            _rmatmul(ch, c_bot, a_bot, B, sign)
+        elif k == big:
+            h = split_point(k)
+            a_left, a_right = A.split_cols(h)
+            b_top, b_bot = B.split_rows(h)
+            _rmatmul(ch, C, a_left, b_top, sign)
+            _rmatmul(ch, C, a_right, b_bot, sign)
+        else:
+            h = split_point(r)
+            b_left, b_right = B.split_cols(h)
+            c_left, c_right = C.split_cols(h)
+            _rmatmul(ch, c_left, A, b_left, sign)
+            _rmatmul(ch, c_right, A, b_right, sign)

@@ -12,18 +12,16 @@ recursive Cholesky performs *exactly* ``cholesky_flops(n)`` scalar
 operations, i.e. the same arithmetic as the naïve algorithms up to
 reordering (§3.1.3).
 
-This scope recursion is the reference charging path.  It serves the
-public kernel and every ``toledo``/``square-recursive`` run that is
-observed, guarded, fault- or ABFT-armed or multi-level; an unobserved
-run on a single-level batched machine walks the same recursion as a
-:class:`~repro.sequential.charge_plan.ChargePlan` and charges it as
-one batch, count-identical to this path.
+Each node is charged by the run's charging object
+(:mod:`~repro.sequential.charge_plan`), live or planned, as in
+:mod:`~repro.sequential.rmatmul`.
 """
 
 from __future__ import annotations
 
 from repro.machine.core import ModelError
-from repro.matrices.tracked import BlockRef, footprint
+from repro.matrices.tracked import BlockRef
+from repro.sequential.charge_plan import ScopeCharging
 from repro.sequential.flops import syrk_flops
 from repro.sequential.rmatmul import _rmatmul
 from repro.util.imath import split_point
@@ -43,42 +41,32 @@ def rsyrk(C: BlockRef, A: BlockRef) -> None:
         raise ValueError(f"C{C.shape} must be {m}x{m} for rsyrk with A{A.shape}")
     if C.matrix.machine is not A.matrix.machine:
         raise ValueError("rsyrk operands must share one machine")
-    _rsyrk(C, A)
+    _rsyrk(ScopeCharging(C.matrix.machine), C, A)
 
 
-def _rsyrk(C: BlockRef, A: BlockRef) -> None:
-    machine = C.matrix.machine
+def _rsyrk(ch, C: BlockRef, A: BlockRef) -> None:
     m, k = A.shape
-    with machine.profiler.span("syrk"), machine.scope(
-        footprint([A, C]), C.intervals, write_covered=True
-    ) as sc:
-        if sc.fits:
-            c = C.peek()
+    with ch.node("syrk", (A, C), C) as fits:
+        if fits:
+            c = C.view()
             a = A.peek()
             c -= a @ a.T
-            C.poke(c)
-            machine.add_flops(syrk_flops(m, k))
+            ch.machine.add_flops(syrk_flops(m, k))
             return
-        _rsyrk_recurse(C, A, machine, m, k)
-
-
-def _rsyrk_recurse(C: BlockRef, A: BlockRef, machine, m: int, k: int) -> None:
-    """Split a too-big symmetric update into smaller scopes."""
-    if max(m, k) == 1:
-        raise ModelError(
-            f"fast memory (M={machine.M}) cannot hold a 1x1 "
-            "symmetric update working set"
-        )
-    if k > m:
-        # long inner dimension: split A's columns, two half updates
-        h = split_point(k)
-        a_left, a_right = A.split_cols(h)
-        _rsyrk(C, a_left)
-        _rsyrk(C, a_right)
-        return
-    h = split_point(m)
-    c11, _c12, c21, c22 = C.quadrants(h, h)
-    a_top, a_bot = A.split_rows(h)
-    _rsyrk(c11, a_top)
-    _rmatmul(c21, a_bot, a_top.T, -1.0)
-    _rsyrk(c22, a_bot)
+        if max(m, k) == 1:
+            raise ModelError(
+                f"fast memory (M={ch.M}) cannot hold a 1x1 "
+                "symmetric update working set"
+            )
+        if k > m:
+            # long inner dimension: split A's columns, two half updates
+            a_left, a_right = A.split_cols(split_point(k))
+            _rsyrk(ch, C, a_left)
+            _rsyrk(ch, C, a_right)
+            return
+        h = split_point(m)
+        c11, _c12, c21, c22 = C.quadrants(h, h)
+        a_top, a_bot = A.split_rows(h)
+        _rsyrk(ch, c11, a_top)
+        _rmatmul(ch, c21, a_bot, a_top.T, -1.0)
+        _rsyrk(ch, c22, a_bot)

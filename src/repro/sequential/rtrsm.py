@@ -13,18 +13,16 @@ on block-contiguous storage.  The implementation generalizes to
 rectangular ``A`` (``m × n``) as the Cholesky recursions need; for
 ``m = n`` it performs exactly the paper's quadrant recursion.
 
-This scope recursion is the reference charging path.  It serves the
-public kernel and every ``toledo``/``square-recursive`` run that is
-observed, guarded, fault- or ABFT-armed or multi-level; an unobserved
-run on a single-level batched machine walks the same recursion as a
-:class:`~repro.sequential.charge_plan.ChargePlan` and charges it as
-one batch, count-identical to this path.
+Each node is charged by the run's charging object
+(:mod:`~repro.sequential.charge_plan`), live or planned, as in
+:mod:`~repro.sequential.rmatmul`.
 """
 
 from __future__ import annotations
 
 from repro.machine.core import ModelError
-from repro.matrices.tracked import BlockRef, footprint
+from repro.matrices.tracked import BlockRef
+from repro.sequential.charge_plan import ScopeCharging
 from repro.sequential.flops import trsm_flops
 from repro.sequential.kernels import solve_upper_right
 from repro.sequential.rmatmul import _rmatmul
@@ -42,40 +40,31 @@ def rtrsm(A: BlockRef, U: BlockRef) -> None:
         raise ValueError(f"U{U.shape} must be {n}x{n} to solve A{A.shape}")
     if A.matrix.machine is not U.matrix.machine:
         raise ValueError("rtrsm operands must share one machine")
-    _rtrsm(A, U)
+    _rtrsm(ScopeCharging(A.matrix.machine), A, U)
 
 
-def _rtrsm(A: BlockRef, U: BlockRef) -> None:
-    machine = A.matrix.machine
+def _rtrsm(ch, A: BlockRef, U: BlockRef) -> None:
     m, n = A.shape
-    with machine.profiler.span("trsm"), machine.scope(
-        footprint([A, U]), A.intervals, write_covered=True
-    ) as sc:
-        if sc.fits:
+    with ch.node("trsm", (A, U), A) as fits:
+        if fits:
             A.poke(solve_upper_right(A.peek(), U.peek()))
-            machine.add_flops(trsm_flops(m, n))
+            ch.machine.add_flops(trsm_flops(m, n))
             return
-        _rtrsm_recurse(A, U, machine, m, n)
-
-
-def _rtrsm_recurse(A: BlockRef, U: BlockRef, machine, m: int, n: int) -> None:
-    """Split a too-big triangular solve into smaller scopes."""
-    if m >= n and m > 1:
-        # tall A: the two row halves solve independently
-        h = split_point(m)
-        a_top, a_bot = A.split_rows(h)
-        _rtrsm(a_top, U)
-        _rtrsm(a_bot, U)
-        return
-    if n == 1:
-        raise ModelError(
-            f"fast memory (M={machine.M}) cannot hold a single "
-            "column triangular-solve working set"
-        )
-    # wide A: forward substitution over U's column blocks
-    h = split_point(n)
-    a_left, a_right = A.split_cols(h)
-    u11, u12, _u21, u22 = U.quadrants(h, h)
-    _rtrsm(a_left, u11)
-    _rmatmul(a_right, a_left, u12, -1.0)
-    _rtrsm(a_right, u22)
+        if m >= n and m > 1:
+            # tall A: the two row halves solve independently
+            a_top, a_bot = A.split_rows(split_point(m))
+            _rtrsm(ch, a_top, U)
+            _rtrsm(ch, a_bot, U)
+            return
+        if n == 1:
+            raise ModelError(
+                f"fast memory (M={ch.M}) cannot hold a single "
+                "column triangular-solve working set"
+            )
+        # wide A: forward substitution over U's column blocks
+        h = split_point(n)
+        a_left, a_right = A.split_cols(h)
+        u11, u12, _u21, u22 = U.quadrants(h, h)
+        _rtrsm(ch, a_left, u11)
+        _rmatmul(ch, a_right, a_left, u12, -1.0)
+        _rtrsm(ch, a_right, u22)

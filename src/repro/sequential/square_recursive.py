@@ -13,6 +13,10 @@ produces, at every level ``M`` of a hierarchy simultaneously,
 which matches the lower bounds of Corollary 2.3 / 3.2 — the only
 algorithm in the census that is bandwidth- *and* latency-optimal,
 cache-obliviously, at all levels.
+
+The recursion is written once; :func:`~repro.sequential.charge_plan.charging`
+decides how its nodes are charged (live scopes, or one planned batch
+for a run nothing observes on one fast level).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.matrices.tracked import BlockRef, TrackedMatrix
-from repro.sequential.charge_plan import ChargePlan, plan_eligible
+from repro.sequential.charge_plan import charging
 from repro.sequential.flops import cholesky_flops
 from repro.sequential.kernels import dense_cholesky
 from repro.sequential.rsyrk import _rsyrk
@@ -32,47 +36,28 @@ def square_recursive(A: TrackedMatrix) -> np.ndarray:
     """Cache-oblivious recursive Cholesky (Algorithm 6).
 
     Returns the lower factor ``L`` (left in ``A``'s lower triangle;
-    the strictly-upper part of ``A`` is zeroed in the process).  A run
-    nothing observes on a single-level batched machine takes its
-    :class:`~repro.sequential.charge_plan.ChargePlan` (one charge for
-    the whole recursion); every other run takes the scope recursion
-    below, the reference the plan is pinned against.
+    the strictly-upper part of ``A`` is zeroed in the process).
     """
-    if plan_eligible(A.machine):
-        ChargePlan(A).square().run()
-    else:
-        _square_rchol(A.whole())
+    ch = charging(A)
+    _square_rchol(ch, A.whole())
+    ch.close()
     A.machine.release_all()
     return A.lower()
 
 
-def _square_rchol(A: BlockRef) -> None:
-    machine = A.matrix.machine
-    guard = machine.abft
+def _square_rchol(ch, A: BlockRef) -> None:
+    guard = ch.machine.abft
     if guard is not None:
         guard.enter()
     try:
-        _square_rchol_body(A, machine, guard)
+        _square_rchol_body(ch, A, guard)
     finally:
         if guard is not None:
             guard.exit()
 
 
-def _square_rchol_body(A: BlockRef, machine, guard) -> None:
-    n = A.rows
-    ivs = A.intervals
-    with machine.profiler.span("chol"), machine.scope(ivs, ivs) as sc:
-        if sc.fits:
-            A.poke(dense_cholesky(A.peek()))
-            machine.add_flops(cholesky_flops(n))
-            if guard is not None:
-                guard.phase(A.r0, A.r1, A.c0, A.c1)
-            return
-        _square_rchol_recurse(A, n, guard)
-
-
-def _square_rchol_recurse(A: BlockRef, n: int, guard=None) -> None:
-    """Quadrant split.
+def _square_rchol_body(ch, A: BlockRef, guard) -> None:
+    """Factor ``A`` where it fits, else split it into quadrants.
 
     n == 1 always fits (footprint of one word, M >= 1), so a
     non-fitting subproblem is guaranteed splittable.
@@ -82,17 +67,25 @@ def _square_rchol_recurse(A: BlockRef, n: int, guard=None) -> None:
     each child's whole footprint after the child returns, so the
     checkpoint schedule is independent of how deep the recursion goes.
     """
-    k = split_point(n)
-    a11, _a12, a21, a22 = A.quadrants(k, k)
-    _square_rchol(a11)             # L11 = Chol(A11)
-    if guard is not None:
-        guard.phase(a11.r0, a11.r1, a11.c0, a11.c1)
-    _rtrsm(a21, a11.T)             # L21 = A21 · L11^{-T}
-    if guard is not None:
-        guard.phase(a21.r0, a21.r1, a21.c0, a21.c1)
-    _rsyrk(a22, a21)               # A22 <- A22 - L21 L21^T
-    if guard is not None:
-        guard.phase(a22.r0, a22.r1, a22.c0, a22.c1)
-    _square_rchol(a22)             # L22 = Chol(A22)
-    if guard is not None:
-        guard.phase(a22.r0, a22.r1, a22.c0, a22.c1)
+    n = A.rows
+    with ch.node("chol", (A,), A) as fits:
+        if fits:
+            A.poke(dense_cholesky(A.peek()))
+            ch.machine.add_flops(cholesky_flops(n))
+            if guard is not None:
+                guard.phase(A.r0, A.r1, A.c0, A.c1)
+            return
+        k = split_point(n)
+        a11, _a12, a21, a22 = A.quadrants(k, k)
+        _square_rchol(ch, a11)         # L11 = Chol(A11)
+        if guard is not None:
+            guard.phase(a11.r0, a11.r1, a11.c0, a11.c1)
+        _rtrsm(ch, a21, a11.T)         # L21 = A21 · L11^{-T}
+        if guard is not None:
+            guard.phase(a21.r0, a21.r1, a21.c0, a21.c1)
+        _rsyrk(ch, a22, a21)           # A22 <- A22 - L21 L21^T
+        if guard is not None:
+            guard.phase(a22.r0, a22.r1, a22.c0, a22.c1)
+        _square_rchol(ch, a22)         # L22 = Chol(A22)
+        if guard is not None:
+            guard.phase(a22.r0, a22.r1, a22.c0, a22.c1)

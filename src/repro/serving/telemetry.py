@@ -56,7 +56,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.observability.metrics import METRICS, MetricsRegistry
 
@@ -228,14 +228,6 @@ class ClusterTelemetry:
                 shard=event.shard,
                 algorithm=str(event.attr("algorithm", "")),
             ).set(BREAKER_STATES.get(state, -1))
-
-    def ingest_wire(self, events: "Iterable[Mapping[str, Any]]") -> int:
-        """Ingest a pipe batch of wire-form events; returns how many."""
-        n = 0
-        for d in events:
-            self.ingest(TelemetryEvent.from_wire(d))
-            n += 1
-        return n
 
     # -- reads -------------------------------------------------------------
 

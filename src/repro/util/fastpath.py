@@ -1,19 +1,21 @@
-"""Process-wide toggle for count-neutral simulator fast paths.
+"""Process-wide switch between the simulator's fast and reference paths.
 
-The batched charging layer comes in two independent pieces:
+One switch chooses, for the whole process, how the simulator charges:
 
-* the *machine-level* ``batched`` flag
-  (:class:`repro.machine.core.HierarchicalMachine`), which selects the
-  batched transfer APIs inside the algorithms;
-* this module's *count-neutral* fast paths (NumPy interval merging,
-  closed-form layout runs, interval memoization), which change no
-  observable count on either machine path.
+* on (the default): the batched charging layer — each machine built
+  while it is on takes the batched transfer APIs inside the algorithms
+  (:attr:`repro.machine.core.HierarchicalMachine.batched`), and the
+  recursions charge an unobserved run as one planned batch — plus the
+  count-neutral fast paths (NumPy interval merging, closed-form layout
+  runs, interval memoization);
+* off: the original element-wise code paths end to end, the reference
+  the golden count-equality tests hold the fast path to.
 
-Both default on and both are disabled by setting ``REPRO_SLOW_PATH=1``
-in the environment, which reproduces the original element-wise code
-paths end to end.  ``set_fastpath``/``fastpath`` let the golden
-count-equality tests and the wall-clock bench A/B the two paths inside
-one process without re-execing.
+The modeled counts are the same either way.  Setting
+``REPRO_SLOW_PATH=1`` in the environment turns the switch off at
+import; ``set_fastpath``/``fastpath`` let the golden tests and the
+wall-clock bench A/B the two paths inside one process without
+re-execing.  A machine reads the switch once, when it is built.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ _enabled: bool = os.environ.get("REPRO_SLOW_PATH", "") != "1"
 
 
 def fastpath_enabled() -> bool:
-    """Whether the count-neutral fast paths are currently active."""
+    """Whether the fast paths are currently active."""
     return _enabled
 
 
 def set_fastpath(enabled: bool) -> bool:
-    """Set the toggle; returns the previous value (for restoration)."""
+    """Set the switch; returns the previous value (for restoration)."""
     global _enabled
     prev = _enabled
     _enabled = bool(enabled)
@@ -40,7 +42,7 @@ def set_fastpath(enabled: bool) -> bool:
 
 @contextmanager
 def fastpath(enabled: bool) -> Iterator[None]:
-    """Context manager running its body with the toggle forced."""
+    """Context manager running its body with the switch forced."""
     prev = set_fastpath(enabled)
     try:
         yield
@@ -48,9 +50,4 @@ def fastpath(enabled: bool) -> Iterator[None]:
         set_fastpath(prev)
 
 
-def default_batched() -> bool:
-    """Default for the machine-level ``batched`` flag (env-controlled)."""
-    return os.environ.get("REPRO_SLOW_PATH", "") != "1"
-
-
-__all__ = ["default_batched", "fastpath", "fastpath_enabled", "set_fastpath"]
+__all__ = ["fastpath", "fastpath_enabled", "set_fastpath"]

@@ -82,6 +82,32 @@ class TestBlockRefGeometry:
         expect = a.block(3, 6, 0, 3).intervals
         assert s.intervals == expect
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_splits_equal_sub(self, transposed):
+        """The recursions' unchecked cuts pick the blocks ``sub`` does."""
+        _, a = make(8)
+        b = a.block(1, 8, 2, 6)
+        b = b.T if transposed else b
+        rows, cols = b.shape
+
+        def key(ref):
+            return (ref.r0, ref.r1, ref.c0, ref.c1, ref.transposed)
+
+        assert [key(x) for x in b.split_rows(3)] == [
+            key(b.sub(0, 3, 0, cols)), key(b.sub(3, rows, 0, cols))
+        ]
+        assert [key(x) for x in b.split_cols(1)] == [
+            key(b.sub(0, rows, 0, 1)), key(b.sub(0, rows, 1, cols))
+        ]
+        assert [key(x) for x in b.quadrants(3, 1)] == [
+            key(b.sub(0, 3, 0, 1)), key(b.sub(0, 3, 1, cols)),
+            key(b.sub(3, rows, 0, 1)), key(b.sub(3, rows, 1, cols)),
+        ]
+        with pytest.raises(ValueError):
+            b.split_rows(rows + 1)
+        with pytest.raises(ValueError):
+            b.quadrants(0, cols + 1)
+
     def test_sub_out_of_range(self):
         _, a = make(8)
         b = a.block(0, 4, 0, 4)

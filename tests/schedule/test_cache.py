@@ -52,7 +52,7 @@ def _key(shape, *, version="testver", base=0, params=None):
     layout = make_layout(
         layout_name, n, block=block if layout_name == "blocked" else None
     )
-    machine = SequentialMachine(M, batched=True)
+    machine = SequentialMachine(M)
     plan = None if fseed is None else FaultPlan(seed=fseed, read_fault=0.05)
     return schedule_key(
         algorithm=algorithm,
@@ -208,7 +208,7 @@ def captured_schedule(directory) -> TransferSchedule:
     """A real capture (naive-left, n=24, M=96), read back from disk."""
     prev = set_default_cache(ScheduleCache(directory, version="v"))
     try:
-        machine = SequentialMachine(96, batched=True)
+        machine = SequentialMachine(96)
         A = TrackedMatrix(
             random_spd(24, seed=3), make_layout("column-major", 24), machine
         )

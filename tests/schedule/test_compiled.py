@@ -97,9 +97,9 @@ def _explicit_work(machine):
 class TestCaptureReplay:
     def test_explicit_transfers_round_trip(self):
         schedule, want = _capture(
-            lambda: SequentialMachine(32, batched=True), _explicit_work
+            lambda: SequentialMachine(32), _explicit_work
         )
-        fresh = SequentialMachine(32, batched=True)
+        fresh = SequentialMachine(32)
         fresh.replay_schedule(schedule)
         assert _counters(fresh) == want
 
@@ -121,7 +121,7 @@ class TestCaptureReplay:
         assert _counters(fresh) == want
 
     def test_recorder_requires_pristine_machine(self):
-        machine = SequentialMachine(32, batched=True)
+        machine = SequentialMachine(32)
         machine.read(IntervalSet.single(0, 4))
         with pytest.raises(ScheduleError):
             ScheduleRecorder(machine)
@@ -129,7 +129,7 @@ class TestCaptureReplay:
     def test_missed_chokepoint_discards_capture(self):
         """If charges happen that the recorder never saw, finalize
         must refuse to produce a schedule (never under-count)."""
-        machine = SequentialMachine(32, batched=True)
+        machine = SequentialMachine(32)
         recorder = ScheduleRecorder(machine)
         machine.recorder = recorder
         machine.read(IntervalSet.single(0, 4))
@@ -141,20 +141,20 @@ class TestCaptureReplay:
 class TestApplyValidation:
     def _schedule(self):
         schedule, _ = _capture(
-            lambda: SequentialMachine(32, batched=True), _explicit_work
+            lambda: SequentialMachine(32), _explicit_work
         )
         return schedule
 
     def test_apply_rejects_wrong_shape(self):
         schedule = self._schedule()
-        other = SequentialMachine(64, batched=True)
+        other = SequentialMachine(64)
         with pytest.raises(ScheduleError):
             other.replay_schedule(schedule)
         assert other.words == 0  # untouched
 
     def test_apply_rejects_dirty_machine(self):
         schedule = self._schedule()
-        machine = SequentialMachine(32, batched=True)
+        machine = SequentialMachine(32)
         machine.read(IntervalSet.single(0, 2))
         machine.release_all()
         before = _counters(machine)
@@ -164,7 +164,7 @@ class TestApplyValidation:
 
     def test_apply_rejects_tracing_machine(self):
         schedule = self._schedule()
-        machine = SequentialMachine(32, batched=True, record_trace=True)
+        machine = SequentialMachine(32, record_trace=True)
         with pytest.raises(ScheduleError):
             machine.replay_schedule(schedule)
 
@@ -181,7 +181,7 @@ class TestApplyValidation:
 
     def test_apply_is_idempotent_only_on_pristine(self):
         schedule = self._schedule()
-        machine = SequentialMachine(32, batched=True)
+        machine = SequentialMachine(32)
         machine.replay_schedule(schedule)
         with pytest.raises(ScheduleError):  # second apply: not pristine
             machine.replay_schedule(schedule)
@@ -190,7 +190,7 @@ class TestApplyValidation:
 class TestSerialization:
     def test_round_trip_preserves_digest(self):
         schedule, _ = _capture(
-            lambda: SequentialMachine(32, batched=True), _explicit_work
+            lambda: SequentialMachine(32), _explicit_work
         )
         blob = schedule.to_bytes()
         clone = TransferSchedule.from_bytes(blob)
@@ -207,7 +207,7 @@ class TestSerialization:
 
     def test_unknown_format_is_rejected(self):
         schedule, _ = _capture(
-            lambda: SequentialMachine(32, batched=True), _explicit_work
+            lambda: SequentialMachine(32), _explicit_work
         )
 
         def future(header):
@@ -220,7 +220,7 @@ class TestSerialization:
 class TestAnalysisEntryPoints:
     def _schedule(self):
         schedule, _ = _capture(
-            lambda: SequentialMachine(32, batched=True), _explicit_work
+            lambda: SequentialMachine(32), _explicit_work
         )
         return schedule
 
@@ -244,7 +244,7 @@ class TestAnalysisEntryPoints:
 
 class TestEndToEndReuse:
     def _run(self, n=24, M=96):
-        machine = SequentialMachine(M, batched=True)
+        machine = SequentialMachine(M)
         A = TrackedMatrix(
             random_spd(n, seed=3), make_layout("column-major", n), machine
         )
@@ -298,7 +298,7 @@ class TestDiskRoundTrip:
         M = 96
 
         def machine_for():
-            machine = SequentialMachine(M, batched=True)
+            machine = SequentialMachine(M)
             machine.attach_faults(plan)
             return machine
 

@@ -24,7 +24,10 @@ The fast memory sizes sit on the boundaries of each recursion:
 
 The golden was recorded from the per-node charging path, before the
 whole-recursion charge plans replaced it, so it is the record of what
-that path charged.  Regenerate with ``python -m
+that path charged.  Both charging paths are held to it: the planned
+one, which plain runs take, on every case, and the live scope path,
+taken with the fast path switched off, on the cases with n ≤ 17 (n = 48
+would add most of a minute on that path).  Regenerate with ``python -m
 tests.sequential.test_recursive_runs_golden`` only for a deliberate
 change of the modeled counts.
 """
@@ -44,11 +47,13 @@ from repro.matrices.generators import random_spd
 from repro.matrices.tracked import TrackedMatrix
 from repro.schedule import ScheduleRecorder, compile_disabled
 from repro.sequential.registry import run_algorithm
+from repro.util.fastpath import fastpath, fastpath_enabled
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "recursive_runs.golden.json")
 
 ALGORITHMS = ("toledo", "square-recursive")
 SIZES = (1, 2, 3, 7, 17, 48)
+LIVE_SIZES = tuple(n for n in SIZES if n <= 17)
 BLOCK = 4  # tile size of the "blocked" layout
 
 
@@ -75,6 +80,9 @@ def _run(algorithm: str, layout: str, n: int, M: int) -> dict:
         return {"raises": type(exc).__name__, "message": str(exc)}
     finally:
         machine.recorder = None
+        if not fastpath_enabled():
+            # the live path charges node by node, never as a batch
+            assert machine.batch_hits == 0
     schedule = recorder.finalize()
     assert schedule is not None, "capture self-check failed"
     return {
@@ -106,11 +114,11 @@ def _memory_sizes(algorithm: str, layout: str, n: int) -> list[int]:
     )
 
 
-def records() -> dict:
+def records(sizes: "tuple[int, ...]" = SIZES) -> dict:
     out = {}
     for algorithm in ALGORITHMS:
         for layout in available_layouts():
-            for n in SIZES:
+            for n in sizes:
                 for M in _memory_sizes(algorithm, layout, n):
                     out[f"{algorithm}/{layout}/n={n}/M={M}"] = _run(
                         algorithm, layout, n, M
@@ -127,10 +135,20 @@ def recs():
     return records()
 
 
-def test_recursive_runs_match_the_golden(recs):
+@pytest.mark.parametrize("path", ["plan", "live"])
+def test_recursive_runs_match_the_golden(path, request):
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = fh.read()
-    assert golden_text(recs) == golden
+    if path == "plan":
+        assert golden_text(request.getfixturevalue("recs")) == golden
+        return
+    with fastpath(False):
+        live = records(LIVE_SIZES)
+    expected = {
+        key: rec for key, rec in json.loads(golden).items()
+        if int(key.split("/n=")[1].split("/")[0]) in LIVE_SIZES
+    }
+    assert golden_text(live) == golden_text(expected)
 
 
 def test_golden_covers_every_boundary(recs):

@@ -84,15 +84,6 @@ class TestAggregator:
         assert reg.value("repro_cluster_breaker_state", shard="shard-1",
                          algorithm="pxpotrf") == BREAKER_STATES["open"]
 
-    def test_wire_batches_count(self):
-        agg = ClusterTelemetry(registry=MetricsRegistry())
-        bus = TelemetryBus("shard-2")
-        bus.emit("done", 0.0)
-        bus.emit("heartbeat", 1.0)
-        assert agg.ingest_wire(bus.drain_wire()) == 2
-        assert agg.counts() == {"shard-2": {"done": 1, "heartbeat": 1}}
-        assert agg.total == 2
-
 
 class TestServiceEvents:
     def test_terminal_and_queue_events_flow(self):

@@ -87,7 +87,7 @@ def _run(algorithm: str, n: int, M: int, *, fast: bool,
     """One observed, traced run of ``algorithm`` down one path."""
     set_fastpath(fast)
     try:
-        machine = SequentialMachine(M, batched=fast, record_trace=True)
+        machine = SequentialMachine(M, record_trace=True)
         machine.attach_faults(faults)
         recorder = observe(machine, name=algorithm)
         A = TrackedMatrix(
@@ -181,7 +181,7 @@ class TestChargePlanGolden:
 
         set_fastpath(fast)
         try:
-            machine = SequentialMachine(M, batched=fast)
+            machine = SequentialMachine(M)
             A = TrackedMatrix(
                 random_spd(n, seed=3), make_layout(layout, n), machine
             )
@@ -237,7 +237,7 @@ class TestCompiledReplayGolden:
 
         set_fastpath(fast)
         try:
-            machine = SequentialMachine(M, batched=fast)
+            machine = SequentialMachine(M)
             machine.attach_faults(faults)
             A = TrackedMatrix(
                 random_spd(n, seed=3), make_layout("column-major", n), machine
