@@ -9,8 +9,9 @@ element-wise reference path (``REPRO_SLOW_PATH=1``, or
 
 By default the fast path includes the schedule JIT
 (:mod:`repro.schedule`): each point takes one untimed *capture* run
-(interpreted, schedule recorded) and the timed repeats *replay* the
-compiled schedule as array reductions.  ``--no-compile`` ablates the
+(interpreted, its counts recorded as a schedule) and the timed repeats
+*replay* the schedule, adding its counts to the machine next to one
+dense factorization.  ``--no-compile`` ablates the
 JIT and times the interpreted batched path instead, so the speedup is
 attributable between batching and compilation.
 

@@ -78,13 +78,12 @@ class _Scope:
     NumPy instead of recursing to scalar base cases.
     """
 
-    __slots__ = ("fits", "depth", "_write_levels", "_mask")
+    __slots__ = ("fits", "depth", "_write_levels")
 
     def __init__(self, fits: bool, depth: int) -> None:
         self.fits = fits
         self.depth = depth
         self._write_levels: list[MemoryLevel] = []
-        self._mask: int = 0  # bitmask of newly-fitted levels (recorder)
 
 
 class HierarchicalMachine:
@@ -120,6 +119,11 @@ class HierarchicalMachine:
     :attr:`batched`.  The two paths are count-identical — the golden
     equality tests assert it — so this is purely a simulator-speed
     switch.
+
+    The schedule JIT (:mod:`repro.schedule`) needs no hook here: it
+    reads a captured run's totals off the counters afterwards and
+    adds them to a pristine machine on replay
+    (:meth:`replay_schedule`).
     """
 
     def __init__(
@@ -160,11 +164,6 @@ class HierarchicalMachine:
         self.batched: bool = fastpath_enabled()
         #: How many transfer batches took the O(#intervals) fast path.
         self.batch_hits: int = 0
-        #: Live :class:`~repro.schedule.compiled.ScheduleRecorder`
-        #: capturing this run into a replayable schedule, or ``None``.
-        #: Attached by :func:`repro.schedule.compiled_session` around
-        #: eligible runs; pure observation, counts are unchanged.
-        self.recorder = None
         #: Live :class:`~repro.abft.ChecksumGuardian` protecting the
         #: current run, or ``None`` when ABFT is off.  Algorithms probe
         #: this attribute at their block boundaries; with it unset the
@@ -275,8 +274,6 @@ class HierarchicalMachine:
             level.counters.add_read(words, ivs.messages(cap=level.capacity))
         self.resident = self.resident | ivs
         self._note_resident()
-        if self.recorder is not None:
-            self.recorder.record_set(ivs, False)
         if self.trace is not None:
             self.trace.append(ReadEvent(ivs))
         if self.faults is not None:
@@ -294,9 +291,6 @@ class HierarchicalMachine:
                 self.faults.stats.read_retry_messages += ivs.messages(
                     cap=self.fast.capacity
                 )
-                if self.recorder is not None:
-                    self.recorder.record_set(ivs, False)
-                    self.recorder.record_fault(seq)
                 if self.trace is not None:
                     self.trace.append(ReadEvent(ivs))
         if self.guard is not None:
@@ -323,8 +317,6 @@ class HierarchicalMachine:
         words = ivs.words
         for level in self.levels:
             level.counters.add_write(words, ivs.messages(cap=level.capacity))
-        if self.recorder is not None:
-            self.recorder.record_set(ivs, True)
         if self.trace is not None:
             self.trace.append(WriteEvent(ivs))
         if self.guard is not None:
@@ -386,8 +378,6 @@ class HierarchicalMachine:
             rm, wm = batch.direction_messages(cap=level.capacity)
             level.counters.add_batch(read_words, rm, write_words, wm)
         self._note_batch_peak(int(peak_extra))
-        if self.recorder is not None:
-            self.recorder.record_batch(batch)
         if self.trace is not None:
             self.trace.append(BatchEvent(batch))
         if self.guard is not None:
@@ -495,7 +485,7 @@ class HierarchicalMachine:
         handle = _Scope(
             fits=fwords <= self.fast.capacity, depth=self._scope_depth
         )
-        for i, level in enumerate(self.levels):
+        for level in self.levels:
             if level.fitted_scope_depth is None and fwords <= level.capacity:
                 level.fitted_scope_depth = self._scope_depth
                 level.counters.add_read(
@@ -503,9 +493,6 @@ class HierarchicalMachine:
                 )
                 level.note_resident(fwords)
                 handle._write_levels.append(level)
-                handle._mask |= 1 << i
-        if self.recorder is not None and handle._mask:
-            self.recorder.record_set(read_ivs, False, handle._mask)
         if self.trace is not None:
             self.trace.append(
                 ScopeEvent(footprint, fitted=[l.name for l in handle._write_levels])
@@ -521,13 +508,6 @@ class HierarchicalMachine:
                         write_ivs.words, write_ivs.messages(cap=level.capacity)
                     )
                 level.fitted_scope_depth = None
-            if (
-                self.recorder is not None
-                and handle._mask
-                and write_ivs is not None
-                and not write_ivs.is_empty()
-            ):
-                self.recorder.record_set(write_ivs, True, handle._mask)
             self._scope_depth -= 1
             if self.guard is not None and handle._write_levels:
                 self.guard.check_machine(self)
@@ -535,13 +515,13 @@ class HierarchicalMachine:
     # -- compiled replay ---------------------------------------------------
 
     def replay_schedule(self, schedule) -> None:
-        """Fold a compiled :class:`~repro.schedule.TransferSchedule`
-        into this machine in one shot.
+        """Add a compiled :class:`~repro.schedule.TransferSchedule`'s
+        counts to this machine in one shot.
 
-        The bulk-charging entry point of the schedule JIT: per-level
-        counter totals, peak residency, flops, batch hits, the read
-        sequence and (with a matching fault plan armed) the realized
-        fault schedule all land exactly as the captured run left them.
+        The replay entry point of the schedule JIT: per-level counter
+        totals, peak residency, flops, batch hits, the read sequence
+        and (with a matching fault plan armed) the realized fault
+        schedule all land exactly as the captured run left them.
         Validation happens before any mutation — on
         :class:`~repro.schedule.ScheduleError` the machine is
         untouched.
@@ -583,7 +563,6 @@ class HierarchicalMachine:
             level.fitted_scope_depth = None
         self.flops = 0
         self.batch_hits = 0
-        self.recorder = None
         self.resident = IntervalSet()
         self._scope_depth = 0
         self._read_seq = 0

@@ -148,16 +148,6 @@ class LRUCache:
             self.access_run(start, stop, is_write)
         return self.stats
 
-    def replay_schedule(self, schedule, level: int = 0) -> LRUStats:
-        """Replay a compiled :class:`~repro.schedule.TransferSchedule`.
-
-        Folds the schedule's runs charged at hierarchy ``level`` into
-        this cache in their recorded order — the bulk entry point the
-        schedule JIT uses, equivalent to :meth:`replay_runs` over
-        :meth:`~repro.schedule.TransferSchedule.level_runs`.
-        """
-        return self.replay_runs(schedule.level_runs(level))
-
     def flush(self) -> int:
         """Write back all dirty lines and empty the cache.
 

@@ -98,20 +98,6 @@ class StackDistanceAnalyzer:
             return self
         return self.analyze(np.concatenate(parts).tolist())
 
-    def analyze_schedule(
-        self, schedule, level: int = 0
-    ) -> "StackDistanceAnalyzer":
-        """Process a compiled :class:`~repro.schedule.TransferSchedule`.
-
-        Feeds the schedule's runs charged at hierarchy ``level``, in
-        recorded order, through :meth:`analyze_runs` — so one captured
-        run yields its whole miss curve without re-walking the
-        algorithm.
-        """
-        return self.analyze_runs(
-            (start, stop) for start, stop, _w in schedule.level_runs(level)
-        )
-
     @property
     def accesses(self) -> int:
         return self.cold_misses + len(self.distances)

@@ -22,7 +22,7 @@ name                                  type       labels
 ``repro_schedule_cache_misses_total``  counter    —
 ``repro_store_write_failures_total``  counter    ``store`` (result/schedule)
 ``repro_schedule_events_total``       counter    ``event`` (capture/replay/
-                                                 discard/apply-mismatch)
+                                                 apply-mismatch)
 ``repro_engine_points_total``         counter    ``source`` (cache/computed)
 ``repro_engine_retries_total``        counter    ``kind``
 ``repro_engine_failures_total``       counter    ``kind``

@@ -1,4 +1,4 @@
-"""Schedule compilation: trace one run, replay every same-shape run.
+"""Schedule compilation: capture one run, replay every same-shape run.
 
 This package is the simulator's JIT.  The communication counts of
 every registry algorithm are pure functions of shape — (algorithm,
@@ -6,13 +6,14 @@ layout, n, machine capacities, block params, fault plan) — so the
 first run of a shape is *captured* into a
 :class:`~repro.schedule.compiled.TransferSchedule` and every later run
 of the same shape is *replayed*: one real ``dense_cholesky`` for the
-numerics plus vectorized NumPy reductions for the counters, with the
+numerics plus the captured counts added to the machine, with the
 Python interpretation of the algorithm skipped entirely.
 
-Pipeline: **capture** (recorder hooks at the machine's charging
-chokepoints) → **canonicalize** (struct-of-arrays, self-checked
-against the captured counters) → **cache** (content-addressed memory +
-disk tiers, keyed by shape and code version) → **replay**
+Pipeline: **capture** (the interpreted run on a pristine machine; its
+per-level totals, peaks, flops, bookkeeping and fault record are read
+off the machine afterwards) → **cache** (content-addressed memory +
+disk tiers, keyed by shape and code version, one line of JSON per
+schedule) → **replay**
 (:meth:`~repro.machine.core.HierarchicalMachine.replay_schedule`).
 
 Compilation is conservative: it engages only for a *pristine* batched
@@ -46,6 +47,7 @@ from repro.schedule.compiled import (
     ScheduleError,
     ScheduleRecorder,
     TransferSchedule,
+    _pristine,
 )
 from repro.util.fastpath import fastpath_enabled
 
@@ -131,16 +133,9 @@ def _machine_eligible(machine) -> bool:
     return (
         machine.batched
         and machine.unobserved()
-        and machine.recorder is None
         and machine._scope_depth == 0
         and machine.resident.is_empty()
-        and machine.flops == 0
-        and machine.batch_hits == 0
-        and machine._read_seq == 0
-        and not any(
-            lvl.counters.words or lvl.counters.messages or lvl.peak_resident
-            for lvl in machine.levels
-        )
+        and _pristine(machine)
         and (
             machine.faults is None
             or not (
@@ -198,7 +193,7 @@ class _CompiledSession:
 
     def _replay(self, schedule: TransferSchedule) -> np.ndarray:
         """Numerics first (so a non-SPD input fails before any charge),
-        then fold the schedule into the machine in one shot."""
+        then add the schedule's counts to the machine in one shot."""
         A = self.matrix
         result = self._canonical_factor(A.data)
         A.machine.replay_schedule(schedule)
@@ -209,27 +204,15 @@ class _CompiledSession:
         return result
 
     def _capture(self, fn: Callable[[], np.ndarray]) -> np.ndarray:
-        machine = self.matrix.machine
+        """Run ``fn`` interpreted, cache its schedule, and return the
+        canonical factor of the original input."""
         original = np.array(self.matrix.data, copy=True)
-        recorder = ScheduleRecorder(machine)
-        machine.recorder = recorder
-        try:
-            result = fn()
-        finally:
-            machine.recorder = None
-        schedule = recorder.finalize()
-        if schedule is None:
-            METRICS.counter(
-                "repro_schedule_events_total", event="discard"
-            ).inc()
-            note_run_mode("off")
-        else:
-            self.cache.put(self.key, schedule)
-            result = self._canonical_factor(original)
-            METRICS.counter(
-                "repro_schedule_events_total", event="capture"
-            ).inc()
-            note_run_mode("capture")
+        recorder = ScheduleRecorder(self.matrix.machine)
+        fn()
+        self.cache.put(self.key, recorder.finalize())
+        result = self._canonical_factor(original)
+        METRICS.counter("repro_schedule_events_total", event="capture").inc()
+        note_run_mode("capture")
         return result
 
 

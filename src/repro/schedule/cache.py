@@ -16,12 +16,14 @@ too, with two tiers:
   ``<cache-root>/schedules``, content-addressed as
   ``<dir>/<key[:2]>/<key>.sched``: the store's header line (the key,
   the code version and the SHA-256 of the payload), then the
-  schedule's :meth:`~TransferSchedule.to_bytes` encoding as the
-  payload.  The store checks key, version and digest before anything
-  is decoded; the view then decodes and re-runs the schedule's
-  self-check, so damage demotes to a miss instead of replaying damaged
-  counts, and a failed write is logged and dropped.  Entries of the
-  old JSON format (``<key>.json``) are never read.
+  schedule's :meth:`~TransferSchedule.to_bytes` encoding (one line of
+  canonical JSON, a few hundred bytes whatever the run's length) as
+  the payload.  The store checks key, version and digest before
+  anything is decoded, and the decoder refuses anything
+  :meth:`~TransferSchedule.to_bytes` would not have written, so damage
+  demotes to a miss instead of replaying damaged counts; a failed
+  write is logged and dropped.  Entries of older formats are never
+  replayed.
 
 Every lookup is counted under ``repro_schedule_cache_hits_total``
 (labelled by tier) or ``repro_schedule_cache_misses_total`` so the
@@ -47,11 +49,6 @@ from repro.util.store import (
 )
 
 SCHEDULE_DIR_ENV = "REPRO_SCHEDULE_DIR"
-
-#: Schedules with more runs than this stay memory-only (a naive n=512
-#: schedule is ~130k runs ≈ 1 MB encoded; the cap keeps pathological
-#: captures from writing cache entries of tens of MB).
-MAX_DISK_RUNS = 2_000_000
 
 
 def fault_plan_digest(plan) -> str | None:
@@ -126,7 +123,7 @@ class ScheduleCache:
 
     A typed view over :class:`~repro.util.store.EntryStore` whose
     payload is :meth:`TransferSchedule.to_bytes`; a payload that does
-    not decode or fails the schedule's self-check is damage.
+    not decode is damage.
 
     Parameters
     ----------
@@ -138,8 +135,6 @@ class ScheduleCache:
         :func:`repro.util.store.code_version`.
     memory_entries:
         LRU capacity of the in-process tier.
-    max_disk_runs:
-        Largest schedule (in runs) the disk tier will persist.
     """
 
     def __init__(
@@ -148,7 +143,6 @@ class ScheduleCache:
         *,
         version: str | None = None,
         memory_entries: int = 32,
-        max_disk_runs: int = MAX_DISK_RUNS,
     ) -> None:
         self.store = EntryStore(
             directory,
@@ -157,7 +151,6 @@ class ScheduleCache:
             version=version,
             memory_entries=memory_entries,
         )
-        self.max_disk_runs = int(max_disk_runs)
 
     @property
     def directory(self) -> str | None:
@@ -179,9 +172,8 @@ class ScheduleCache:
         return sched
 
     def put(self, key: str, schedule: TransferSchedule) -> None:
-        """Store a schedule in both tiers (disk only below the run cap)."""
-        disk = self.directory is not None and schedule.nruns <= self.max_disk_runs
-        self.store.put(key, schedule, schedule.to_bytes() if disk else None)
+        """Store a schedule in both tiers."""
+        self.store.put(key, schedule, schedule.to_bytes())
 
     def stats(self) -> dict:
         """Hit/miss counters for summaries and engine reports."""
@@ -196,11 +188,9 @@ class ScheduleCache:
 
 def _decode(blob: bytes) -> TransferSchedule:
     try:
-        sched = TransferSchedule.from_bytes(blob)
-        sched.verify()
+        return TransferSchedule.from_bytes(blob)
     except ScheduleError as exc:
         raise ValueError(str(exc)) from exc
-    return sched
 
 
 _default_cache: ScheduleCache | None = None

@@ -28,7 +28,7 @@ of two paths:
 
 Fitting leaves compute their numerics inside the walk on both paths,
 so the factors are bit-identical, and counters, peaks, flops and the
-recorded schedule are the same whichever path charged them.
+charged interval runs are the same whichever path charged them.
 :func:`charging` picks the path, by :func:`plan_eligible` alone.
 """
 

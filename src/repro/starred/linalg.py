@@ -62,11 +62,6 @@ def starred_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def starred_transpose(a: np.ndarray) -> np.ndarray:
-    """Transpose of an object matrix (copy)."""
-    return np.asarray(a, dtype=object).T.copy()
-
-
 def _dot(xs, ys) -> MaskedValue:
     """Ordered sum of elementwise products (empty sum is real 0)."""
     acc: MaskedValue = 0.0

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.layouts.base import Layout
 from repro.machine.core import HierarchicalMachine
-from repro.starred.value import Star
 from repro.util.intervals import IntervalSet
 
 
@@ -76,10 +75,6 @@ class StarredMatrix:
     def release_column(self, c: int, r0: int, r1: int) -> None:
         """Evict a column segment from fast memory (no traffic)."""
         self.machine.release(self.intervals(r0, r1, c, c + 1))
-
-    def count_starred(self) -> int:
-        """Number of masked entries (diagnostics for the reduction)."""
-        return sum(1 for v in self.data.flat if isinstance(v, Star))
 
     def __repr__(self) -> str:
         return (

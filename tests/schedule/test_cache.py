@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,12 +116,8 @@ class TestKeying:
 
 
 def tiny_schedule(cap: int = 64) -> TransferSchedule:
-    """A minimal hand-built schedule that passes its self-check."""
+    """A minimal hand-built schedule."""
     return TransferSchedule(
-        starts=np.array([0, 10], dtype=np.int64),
-        stops=np.array([5, 14], dtype=np.int64),
-        kinds=np.array([False, True]),
-        masks=np.array([1, 1], dtype=np.int64),
         capacities=[cap],
         enforce_capacity=True,
         flops=3,
@@ -196,27 +191,28 @@ class TestTiers:
         assert cache.get(keys[0]) is not None
         assert cache.stats()["hits_disk"] == 1
 
-    def test_oversized_schedule_stays_memory_only(self, tmp_path):
-        cache = ScheduleCache(tmp_path / "s", version="v", max_disk_runs=1)
-        key = "aa" + "0" * 62
-        cache.put(key, tiny_schedule())  # 2 runs > cap of 1
-        assert not (tmp_path / "s" / "aa" / f"{key}.sched").exists()
-        assert cache.get(key) is not None  # memory tier still serves it
 
-
-def captured_schedule(directory) -> TransferSchedule:
-    """A real capture (naive-left, n=24, M=96), read back from disk."""
+def captured_schedule(directory, n: int = 24) -> TransferSchedule:
+    """A real capture (naive-left, M=4n), read back from disk."""
     prev = set_default_cache(ScheduleCache(directory, version="v"))
     try:
-        machine = SequentialMachine(96)
+        machine = SequentialMachine(4 * n)
         A = TrackedMatrix(
-            random_spd(24, seed=3), make_layout("column-major", 24), machine
+            random_spd(n, seed=3), make_layout("column-major", n), machine
         )
         run_algorithm("naive-left", A)
     finally:
         set_default_cache(prev)
     (path,) = directory.glob("*/*.sched")
     return ScheduleCache(directory, version="v").get(path.stem)
+
+
+@pytest.mark.parametrize("n", [24, 96])
+def test_encoding_does_not_grow_with_the_run(n, tmp_path):
+    """A schedule is its run's counts, not its transfer stream: the
+    n=96 run charges about 15 times the interval runs of the n=24 one
+    (4,752 against 324), and both encode in under a kilobyte."""
+    assert len(captured_schedule(tmp_path, n).to_bytes()) < 1024
 
 
 class ScheduleView:
@@ -245,7 +241,7 @@ class ScheduleView:
 
     def captured(self, tmp_path):
         schedule = captured_schedule(tmp_path / "capture")
-        assert schedule.nruns > 100
+        assert schedule.totals[0][0] > 0
         return schedule
 
 
@@ -300,8 +296,10 @@ class TestDamagedEntries:
         intact = path.read_bytes()
         want = view.want(value)
         # every byte of the first two lines (the store's header and the
-        # payload's own head), then a stride through the rest
-        body = intact.index(b"\n", intact.index(b"\n") + 1) + 1
+        # payload's own head; all of a one-line payload), then a stride
+        # through the rest
+        second = intact.find(b"\n", intact.index(b"\n") + 1)
+        body = len(intact) if second < 0 else second + 1
         damaged = []
         for offset in [*range(body), *range(body, len(intact), stride)]:
             damaged.append(intact[:offset])

@@ -1,11 +1,9 @@
 """Capture / replay mechanics of the schedule JIT.
 
-These pin the layer's safety contract: a recorder only attaches to a
-pristine machine, a finalized schedule always reproduces the captured
-counters or is discarded, ``apply`` validates everything *before*
-mutating anything, and the bulk analysis entry points
-(``LRUCache.replay_schedule``, ``StackDistanceAnalyzer.analyze_schedule``)
-agree with their per-run equivalents.
+These pin the layer's safety contract: a recorder only starts on a
+pristine machine, a replayed schedule reproduces the captured
+counters, and ``apply`` validates everything *before* mutating
+anything.
 """
 
 from __future__ import annotations
@@ -18,8 +16,6 @@ import pytest
 from repro.faults.plan import FaultPlan
 from repro.layouts import make_layout
 from repro.machine import HierarchicalMachine, SequentialMachine
-from repro.machine.lru import LRUCache
-from repro.machine.stack_distance import StackDistanceAnalyzer
 from repro.matrices.generators import random_spd
 from repro.matrices.tracked import TrackedMatrix
 from repro.schedule import (
@@ -35,17 +31,11 @@ from repro.sequential.registry import available_algorithms, run_algorithm
 from repro.util.intervals import IntervalSet
 
 
-def header_of(blob: bytes) -> dict:
-    """The JSON header line of an encoded schedule."""
-    return json.loads(blob.partition(b"\n")[0])
-
-
-def edit_header(blob: bytes, edit) -> bytes:
-    """Re-encode ``blob`` with ``edit(header)`` applied to its header."""
-    header = header_of(blob)
-    edit(header)
-    head = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    return head.encode("utf-8") + b"\n" + blob.partition(b"\n")[2]
+def edit_record(blob: bytes, edit) -> bytes:
+    """Re-encode ``blob`` with ``edit(record)`` applied to its JSON."""
+    record = json.loads(blob)
+    edit(record)
+    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
 
 
 @pytest.fixture()
@@ -74,14 +64,8 @@ def _capture(make_machine, work) -> "tuple[TransferSchedule, list]":
     """Run ``work(machine)`` under a recorder; return schedule + counters."""
     machine = make_machine()
     recorder = ScheduleRecorder(machine)
-    machine.recorder = recorder
-    try:
-        work(machine)
-    finally:
-        machine.recorder = None
-    schedule = recorder.finalize()
-    assert schedule is not None
-    return schedule, _counters(machine)
+    work(machine)
+    return recorder.finalize(), _counters(machine)
 
 
 def _explicit_work(machine):
@@ -114,8 +98,6 @@ class TestCaptureReplay:
         schedule, want = _capture(
             lambda: HierarchicalMachine([8, 64]), work
         )
-        # the two scopes charged different levels: masks must differ
-        assert len(set(schedule.masks.tolist())) > 1
         fresh = HierarchicalMachine([8, 64])
         fresh.replay_schedule(schedule)
         assert _counters(fresh) == want
@@ -125,17 +107,6 @@ class TestCaptureReplay:
         machine.read(IntervalSet.single(0, 4))
         with pytest.raises(ScheduleError):
             ScheduleRecorder(machine)
-
-    def test_missed_chokepoint_discards_capture(self):
-        """If charges happen that the recorder never saw, finalize
-        must refuse to produce a schedule (never under-count)."""
-        machine = SequentialMachine(32)
-        recorder = ScheduleRecorder(machine)
-        machine.recorder = recorder
-        machine.read(IntervalSet.single(0, 4))
-        machine.recorder = None
-        machine.read(IntervalSet.single(8, 12))  # unrecorded charge
-        assert recorder.finalize() is None
 
 
 class TestApplyValidation:
@@ -168,17 +139,6 @@ class TestApplyValidation:
         with pytest.raises(ScheduleError):
             machine.replay_schedule(schedule)
 
-    def test_tampered_totals_fail_self_check(self):
-        schedule = self._schedule()
-
-        def bump(header):
-            header["totals"][0][0] += 1
-
-        with pytest.raises(ScheduleError):
-            TransferSchedule.from_bytes(
-                edit_header(schedule.to_bytes(), bump)
-            ).verify()
-
     def test_apply_is_idempotent_only_on_pristine(self):
         schedule = self._schedule()
         machine = SequentialMachine(32)
@@ -197,49 +157,34 @@ class TestSerialization:
         assert clone.digest() == schedule.digest()
         assert clone.to_bytes() == blob
         assert clone.totals == schedule.totals
-        assert np.array_equal(clone.starts, schedule.starts)
-        assert np.array_equal(clone.masks, schedule.masks)
-        # stored narrow, widened back on load
-        assert header_of(blob)["dtypes"] == {
-            "starts": "|u1", "stops": "|u1", "kinds": "|u1", "masks": "|u1"
-        }
-        assert clone.starts.dtype == np.int64 and clone.kinds.dtype == bool
 
     def test_unknown_format_is_rejected(self):
         schedule, _ = _capture(
             lambda: SequentialMachine(32), _explicit_work
         )
 
-        def future(header):
-            header["format"] = 999
+        def future(record):
+            record["format"] = 999
 
         with pytest.raises(ScheduleError):
-            TransferSchedule.from_bytes(edit_header(schedule.to_bytes(), future))
+            TransferSchedule.from_bytes(edit_record(schedule.to_bytes(), future))
 
-
-class TestAnalysisEntryPoints:
-    def _schedule(self):
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda record: record.pop("totals"),
+            lambda record: record.update(nruns=2),
+            lambda record: record.update(flops=7.5),
+            lambda record: record.update(fault_seqs=[0]),
+        ],
+        ids=["missing-field", "extra-field", "float-count", "faults-without-plan"],
+    )
+    def test_malformed_record_is_rejected(self, edit):
         schedule, _ = _capture(
             lambda: SequentialMachine(32), _explicit_work
         )
-        return schedule
-
-    def test_lru_replay_schedule_matches_replay_runs(self):
-        schedule = self._schedule()
-        runs = list(schedule.level_runs(0))
-        assert runs  # the capture produced real traffic
-        a = LRUCache(8).replay_schedule(schedule)
-        b = LRUCache(8).replay_runs(runs)
-        assert a == b
-
-    def test_stack_distance_matches_analyze_runs(self):
-        schedule = self._schedule()
-        a = StackDistanceAnalyzer().analyze_schedule(schedule)
-        b = StackDistanceAnalyzer().analyze_runs(
-            (s, t) for s, t, _w in schedule.level_runs(0)
-        )
-        assert a.distances == b.distances
-        assert a.cold_misses == b.cold_misses
+        with pytest.raises(ScheduleError):
+            TransferSchedule.from_bytes(edit_record(schedule.to_bytes(), edit))
 
 
 class TestEndToEndReuse:
@@ -282,9 +227,7 @@ class TestEndToEndReuse:
 
 class TestDiskRoundTrip:
     """A schedule read back from disk must act exactly like the captured
-    one.  The disk tier stores arrays in narrow unsigned dtypes, and
-    ``_ceil_messages`` negates run lengths, which wraps on an unsigned
-    array that was not widened back."""
+    one, for every algorithm, with and without read faults."""
 
     @pytest.mark.parametrize(
         "plan",
@@ -334,10 +277,3 @@ class TestDiskRoundTrip:
             return state(fresh)
 
         assert applied(loaded) == applied(captured) == state(machine)
-        assert list(loaded.level_runs(0)) == list(captured.level_runs(0))
-        assert LRUCache(M).replay_schedule(loaded) == LRUCache(
-            M
-        ).replay_schedule(captured)
-        a = StackDistanceAnalyzer().analyze_schedule(loaded)
-        b = StackDistanceAnalyzer().analyze_schedule(captured)
-        assert (a.distances, a.cold_misses) == (b.distances, b.cold_misses)

@@ -3,10 +3,11 @@
 ``recursive_runs.golden.json`` pins, for ``toledo`` and
 ``square-recursive`` on every layout at n ∈ {1, 2, 3, 7, 17, 48}, what a
 plain (unobserved, single-level, batched) run charges.  Per case it
-records the captured :class:`~repro.schedule.TransferSchedule` — the
-SHA-256 and length of each run array (``starts``, ``stops``, ``kinds``,
-``masks``), the per-level totals, the peaks, the flops and the read
-calls — plus the SHA-256 of the factor the algorithm itself computed
+records the transfer stream (:mod:`tests.transfer_stream`: the SHA-256
+of each run array — ``starts``, ``stops``, ``kinds``, ``masks`` — and
+their length), the captured :class:`~repro.schedule.TransferSchedule`'s
+per-level totals, peaks, flops and read calls, and the SHA-256 of the
+factor the algorithm itself computed
 (compilation off, so the digest is the interpreter's numerics, not the
 canonical replay factor).  A case that raises records the exception's
 type and message instead.  ``batch_hits`` is left out: it counts how
@@ -48,6 +49,7 @@ from repro.matrices.tracked import TrackedMatrix
 from repro.schedule import ScheduleRecorder, compile_disabled
 from repro.sequential.registry import run_algorithm
 from repro.util.fastpath import fastpath, fastpath_enabled
+from tests.transfer_stream import tap
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "recursive_runs.golden.json")
 
@@ -72,25 +74,24 @@ def _run(algorithm: str, layout: str, n: int, M: int) -> dict:
     machine = SequentialMachine(M)
     A = TrackedMatrix(random_spd(n, seed=7), _layout(layout, n), machine)
     recorder = ScheduleRecorder(machine)
-    machine.recorder = recorder
+    stream = tap(machine)
     try:
         with compile_disabled():
             L = run_algorithm(algorithm, A)
     except Exception as exc:  # noqa: BLE001 - the exception is the record
         return {"raises": type(exc).__name__, "message": str(exc)}
     finally:
-        machine.recorder = None
         if not fastpath_enabled():
             # the live path charges node by node, never as a batch
             assert machine.batch_hits == 0
     schedule = recorder.finalize()
-    assert schedule is not None, "capture self-check failed"
+    runs = stream()
     return {
-        "nruns": schedule.nruns,
-        "starts": _sha(schedule.starts, "<i8"),
-        "stops": _sha(schedule.stops, "<i8"),
-        "kinds": _sha(schedule.kinds, "|b1"),
-        "masks": _sha(schedule.masks, "<i8"),
+        "nruns": len(runs["starts"]),
+        "starts": _sha(runs["starts"], "<i8"),
+        "stops": _sha(runs["stops"], "<i8"),
+        "kinds": _sha(runs["kinds"], "|b1"),
+        "masks": _sha(runs["masks"], "<i8"),
         "totals": [list(t) for t in schedule.totals],
         "peaks": list(schedule.peaks),
         "flops": schedule.flops,

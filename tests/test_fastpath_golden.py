@@ -169,15 +169,20 @@ class TestChargePlanGolden:
 
     A plain batched machine (nothing observes it) runs ``toledo`` and
     ``square-recursive`` as one planned charge; an element-wise
-    machine runs the scope recursion.  A :class:`ScheduleRecorder` on
-    each captures every charged run: the two recordings must agree run
-    for run (starts, stops, kinds, masks), with equal totals, peaks
-    and flops, and the factors must be bit-identical.
+    machine runs the scope recursion.  A transfer-stream tap
+    (:mod:`tests.transfer_stream`) on each records every charged run
+    and a :class:`ScheduleRecorder` captures the counts: the two
+    recordings must agree run for run (starts, stops, kinds, masks),
+    with equal totals, peaks and flops, and the factors must be
+    bit-identical.
     """
 
     @staticmethod
     def _captured(algorithm, layout, n, M, *, fast):
+        from types import SimpleNamespace
+
         from repro.schedule import ScheduleRecorder, compile_disabled
+        from tests.transfer_stream import tap
 
         set_fastpath(fast)
         try:
@@ -186,13 +191,19 @@ class TestChargePlanGolden:
                 random_spd(n, seed=3), make_layout(layout, n), machine
             )
             recorder = ScheduleRecorder(machine)
-            machine.recorder = recorder
+            stream = tap(machine)
             with compile_disabled():
                 L = run_algorithm(algorithm, A)
         finally:
-            machine.recorder = None
             set_fastpath(True)
-        return np.asarray(L), recorder.finalize(), machine.batch_hits
+        schedule = recorder.finalize()
+        capture = SimpleNamespace(
+            **stream(),
+            totals=schedule.totals,
+            peaks=schedule.peaks,
+            flops=schedule.flops,
+        )
+        return np.asarray(L), capture, machine.batch_hits
 
     @pytest.mark.parametrize("layout", ["morton", "recursive-packed-hybrid"])
     @pytest.mark.parametrize("n,M", CONFIGS)
