@@ -45,11 +45,6 @@ class Layout(ABC):
     block_contiguous: bool = False
     #: whether only the lower triangle is stored
     packed: bool = False
-    #: uniform distance between column starts when every column's rows
-    #: are one contiguous run (column-major-style layouts); ``None``
-    #: when no such stride exists.  The batched transfer builders use
-    #: this to emit per-column runs in closed form.
-    column_stride: "int | None" = None
     #: whether :meth:`rect_runs` builds a batch without one
     #: :meth:`intervals` call per rectangle
     vectorized_runs: bool = False

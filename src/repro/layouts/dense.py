@@ -27,10 +27,6 @@ class ColumnMajorLayout(Layout):
     def storage_words(self) -> int:
         return self.n * self.n
 
-    @property
-    def column_stride(self) -> int:
-        return self.n
-
     def address(self, i: int, j: int) -> int:
         if not self.stores(i, j):
             raise LayoutError(f"({i},{j}) outside {self.n}x{self.n} matrix")
@@ -58,25 +54,21 @@ class ColumnMajorLayout(Layout):
         """Closed form: one run per column, or one for a full-height
         rectangle (whose columns abut); no per-rectangle set is built."""
         n = self.n
-        starts: list[int] = []
-        stops: list[int] = []
-        offsets = [0]
-        for r0, r1, c0, c1 in rects:
-            if not (0 <= r0 <= r1 <= n and 0 <= c0 <= c1 <= n):
-                self._check_rect(r0, r1, c0, c1)
-            if r1 > r0 and c1 > c0:
-                if r1 - r0 == n:
-                    starts.append(c0 * n)
-                    stops.append(c1 * n)
-                else:
-                    starts.extend(range(r0 + c0 * n, r0 + c1 * n, n))
-                    stops.extend(range(r1 + c0 * n, r1 + c1 * n, n))
-            offsets.append(len(starts))
-        return (
-            np.array(starts, dtype=np.int64),
-            np.array(stops, dtype=np.int64),
-            np.array(offsets, dtype=np.int64),
-        )
+        R = np.asarray(rects, dtype=np.int64).reshape(-1, 4)
+        r0, r1, c0, c1 = R.T
+        bad = ~((0 <= r0) & (r0 <= r1) & (r1 <= n) & (0 <= c0) & (c0 <= c1) & (c1 <= n))
+        if bad.any():
+            self._check_rect(*R[bad.argmax()].tolist())
+        full = r1 - r0 == n
+        runs = np.where((r1 > r0) & (c1 > c0), np.where(full, 1, c1 - c0), 0)
+        offsets = np.zeros(len(runs) + 1, dtype=np.int64)
+        np.cumsum(runs, out=offsets[1:])
+        rect = np.repeat(np.arange(len(runs)), runs)
+        col = c0[rect] + np.arange(offsets[-1]) - offsets[:-1][rect]
+        full = full[rect]
+        starts = np.where(full, c0[rect] * n, r0[rect] + col * n)
+        stops = np.where(full, c1[rect] * n, r1[rect] + col * n)
+        return starts, stops, offsets
 
 
 class RowMajorLayout(Layout):

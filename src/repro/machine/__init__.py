@@ -36,7 +36,6 @@ from repro.machine.core import (
 from repro.machine.lru import LRUCache
 from repro.machine.stack_distance import StackDistanceAnalyzer
 from repro.machine.tracing import (
-    BatchEvent,
     MachineTrace,
     ReadEvent,
     ScopeEvent,
@@ -57,6 +56,5 @@ __all__ = [
     "ReadEvent",
     "WriteEvent",
     "ScopeEvent",
-    "BatchEvent",
     "TraceOverflow",
 ]

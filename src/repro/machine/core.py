@@ -47,13 +47,7 @@ from typing import Iterator, Sequence
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.machine.counters import CommCounters, MemoryLevel
-from repro.machine.tracing import (
-    BatchEvent,
-    MachineTrace,
-    ReadEvent,
-    ScopeEvent,
-    WriteEvent,
-)
+from repro.machine.tracing import MachineTrace, ReadEvent, ScopeEvent, WriteEvent
 from repro.observability.spans import NULL_PROFILER
 from repro.util.fastpath import fastpath_enabled
 from repro.util.intervals import IntervalSet, RunBatch
@@ -111,12 +105,14 @@ class HierarchicalMachine:
         overflow marker (see :class:`~repro.machine.tracing.MachineTrace`).
         ``None`` (default) keeps the historical unbounded behaviour.
 
-    Whether algorithms take the batched charging path
-    (:meth:`charge_intervals` and friends, and the recursions' charge
-    plans) instead of per-transfer ``read``/``write`` calls is fixed
+    Whether an unobserved run may be charged as one planned batch
+    (:meth:`charge_intervals`, called by
+    :class:`~repro.sequential.charge_plan.ChargePlan`) instead of one
+    ``read``/``write``/``release`` call or scope per transfer is fixed
     when the machine is built, from
     :func:`~repro.util.fastpath.fastpath_enabled`, and kept in
-    :attr:`batched`.  The two paths are count-identical — the golden
+    :attr:`batched`; :func:`~repro.sequential.charge_plan.plan_eligible`
+    reads it per run.  The two paths are count-identical — the golden
     equality tests assert it — so this is purely a simulator-speed
     switch.
 
@@ -160,9 +156,9 @@ class HierarchicalMachine:
         #: or ``None`` for the unmetered machine.  The guard only *reads*
         #: the counters, so counts are bit-identical either way.
         self.guard = None
-        #: Whether algorithms should use the batched charging APIs.
+        #: Whether a run nothing observes may take a charge plan.
         self.batched: bool = fastpath_enabled()
-        #: How many transfer batches took the O(#intervals) fast path.
+        #: How many planned runs were charged as one batch.
         self.batch_hits: int = 0
         #: Live :class:`~repro.abft.ChecksumGuardian` protecting the
         #: current run, or ``None`` when ABFT is off.  Algorithms probe
@@ -310,10 +306,6 @@ class HierarchicalMachine:
                 f"write of non-resident addresses {missing!r}; "
                 "explicit algorithms must read (or allocate) before writing"
             )
-        self._charge_write(ivs)
-
-    def _charge_write(self, ivs: IntervalSet) -> None:
-        """Charge a write without the residency check (batch internals)."""
         words = ivs.words
         for level in self.levels:
             level.counters.add_write(words, ivs.messages(cap=level.capacity))
@@ -324,76 +316,39 @@ class HierarchicalMachine:
 
     # -- batched transfers ------------------------------------------------
 
-    def charge_intervals(
-        self, batch: RunBatch, *, peak_extra: int | None = None
-    ) -> None:
-        """Charge an ordered sequence of explicit transfers at once.
+    def charge_intervals(self, batch: RunBatch, *, peak_extra: int) -> None:
+        """Charge a planned run's explicit transfers at once.
 
         ``batch`` holds one pre-merged interval set per transfer, in
-        the exact order the element-wise path would have issued them;
-        words and messages are charged per level with O(#intervals)
-        array reductions, so the cost no longer scales with the number
-        of transfers, let alone words.  Counters, trace expansion and
-        fault schedules are identical to issuing the per-set
-        ``read``/``write`` calls one by one — that identity is what the
-        golden tests pin down.
+        the order the live path issues them; words and messages are
+        charged per level with O(#intervals) array reductions, so the
+        cost no longer scales with the number of transfers, let alone
+        words.  ``peak_extra`` is the largest number of words the live
+        path holds at once beyond the current resident set; it feeds
+        the same peak tracking and capacity enforcement.  Batched
+        transfers are transient: :attr:`resident` is left untouched.
 
-        Batched transfers are *transient*: :attr:`resident` is left
-        untouched, mirroring element-wise loops that release every set
-        they stream.  ``peak_extra`` is the largest number of batch
-        words the element-wise loop would have held resident at once
-        (defaults to the largest single set, the
-        one-set-at-a-time streaming pattern); it feeds the same
-        peak-residency tracking and capacity enforcement the
-        element-wise path performs.  Writes in a batch must cover only
-        addresses read earlier in the same batch or already resident —
-        the streaming discipline the element-wise twin enforces
-        per-write.
-
-        With a fault injector attached the batch falls back to per-set
-        transfers so the read-sequence numbering (and therefore the
-        realized fault schedule) stays identical to the element-wise
-        path.
+        Only a charge plan
+        (:class:`~repro.sequential.charge_plan.ChargePlan`) calls this,
+        on a machine that nothing observes and no fault injector arms:
+        a trace, span profiler, budget guard or ABFT guardian sees
+        individual transfers, and read faults number them, so such a
+        machine takes the live path and a batch here raises
+        :class:`ModelError`.
         """
+        if not self.unobserved() or self.faults is not None:
+            raise ModelError(
+                "charge_intervals needs an unobserved machine with no "
+                "fault injector; observed and fault-armed runs charge live"
+            )
         if batch.nsets == 0:
-            return
-        if peak_extra is None:
-            peak_extra = batch.max_set_words()
-        if self.faults is not None:
-            # each read is transient: afterwards the resident set is
-            # exactly what it was before the batch, including any
-            # resident word the read overlapped
-            resident = self.resident
-            for ivs, is_write in batch.items():
-                if is_write:
-                    self._charge_write(ivs)
-                else:
-                    self.read(ivs)
-                    self.resident = resident
-            self._note_batch_peak(int(peak_extra))
             return
         self.batch_hits += 1
         read_words, write_words = batch.direction_words()
         for level in self.levels:
             rm, wm = batch.direction_messages(cap=level.capacity)
             level.counters.add_batch(read_words, rm, write_words, wm)
-        self._note_batch_peak(int(peak_extra))
-        if self.trace is not None:
-            self.trace.append(BatchEvent(batch))
-        if self.guard is not None:
-            self.guard.check_machine(self)
-
-    def read_batch(
-        self, batch: RunBatch, *, peak_extra: int | None = None
-    ) -> None:
-        """Charge every transfer of ``batch`` as a read (slow → fast)."""
-        if batch.is_write.any():
-            batch = batch.with_writes(False)
-        self.charge_intervals(batch, peak_extra=peak_extra)
-
-    def _note_batch_peak(self, extra: int) -> None:
-        """Track (and enforce) the transient peak of a batched charge."""
-        words = self.resident.words + extra
+        words = self.resident.words + int(peak_extra)
         for level in self.levels:
             level.note_resident(words)
         if self.enforce_capacity and words > self.fast.capacity:

@@ -87,65 +87,10 @@ class LRUCache:
         lines[address] = is_write
         return False
 
-    def access_run(self, start: int, stop: int, is_write: bool = False) -> int:
-        """Touch the contiguous address run ``[start, stop)`` in order.
-
-        Exactly equivalent to calling :meth:`access` once per address
-        (same final cache state, same stats); returns the hit count.
-        When no run address is resident — the common case for the
-        machine's batched transfers — the whole run is charged in
-        aggregate instead of per word.
-        """
-        length = stop - start
-        if length <= 0:
-            return 0
-        lines = self._lines
-        if any(a in lines for a in range(start, stop)):
-            # Resident overlap: hits reorder lines and evictions may
-            # land on run members, so interleaving matters — replay
-            # the exact per-address protocol.
-            hits = 0
-            for a in range(start, stop):
-                if self.access(a, is_write):
-                    hits += 1
-            return hits
-        stats = self.stats
-        stats.accesses += length
-        stats.misses += length
-        if is_write and not self.write_allocate:
-            stats.writebacks += length
-            return 0
-        evictions = len(lines) + length - self.capacity
-        if evictions > 0:
-            spill = evictions - len(lines)
-            if spill > 0:
-                # The run alone overflows the cache: every current line
-                # evicts, and the first ``spill`` run members are
-                # inserted then evicted by later run members in turn.
-                stats.writebacks += sum(1 for d in lines.values() if d)
-                if is_write:
-                    stats.writebacks += spill
-                lines.clear()
-                start = stop - self.capacity
-            else:
-                for _ in range(evictions):
-                    _victim, victim_dirty = lines.popitem(last=False)
-                    if victim_dirty:
-                        stats.writebacks += 1
-        for a in range(start, stop):
-            lines[a] = is_write
-        return 0
-
     def replay(self, stream: Iterable[tuple[int, bool]]) -> LRUStats:
         """Replay an ``(address, is_write)`` stream; returns the stats."""
         for address, is_write in stream:
             self.access(address, is_write)
-        return self.stats
-
-    def replay_runs(self, runs: Iterable[tuple[int, int, bool]]) -> LRUStats:
-        """Replay ``(start, stop, is_write)`` runs via :meth:`access_run`."""
-        for start, stop, is_write in runs:
-            self.access_run(start, stop, is_write)
         return self.stats
 
     def flush(self) -> int:

@@ -79,25 +79,6 @@ class StackDistanceAnalyzer:
         self._sorted = None
         return self
 
-    def analyze_runs(
-        self, runs: Iterable[tuple[int, int]]
-    ) -> "StackDistanceAnalyzer":
-        """Process ``(start, stop)`` address runs — bulk form of ``analyze``.
-
-        The runs are expanded to the equivalent flat address stream
-        (each run touched in ascending order) in one NumPy pass, so
-        callers holding interval batches never build per-word Python
-        lists themselves.
-        """
-        parts = [
-            np.arange(start, stop, dtype=np.int64)
-            for start, stop in runs
-            if stop > start
-        ]
-        if not parts:
-            return self
-        return self.analyze(np.concatenate(parts).tolist())
-
     @property
     def accesses(self) -> int:
         return self.cold_misses + len(self.distances)

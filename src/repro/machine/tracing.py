@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Iterator, Sequence
 
-from repro.util.intervals import IntervalSet, RunBatch
+from repro.util.intervals import IntervalSet
 
 
 @dataclass(frozen=True)
@@ -56,32 +56,6 @@ class ScopeEvent:
         return self.footprint.words
 
 
-@dataclass(frozen=True)
-class BatchEvent:
-    """A coalesced sequence of explicit transfers (one batched charge).
-
-    The batched fast path records one event per
-    :meth:`~repro.machine.core.HierarchicalMachine.charge_intervals`
-    call instead of one per transfer.  :meth:`expand` recovers the
-    per-transfer :class:`ReadEvent`/:class:`WriteEvent` sequence in the
-    exact order the element-wise path would have issued it, which is
-    what keeps trace consumers (LRU replay, heatmaps, message-cap
-    ablations) path-agnostic — :meth:`MachineTrace.transfers` expands
-    batches automatically.
-    """
-
-    batch: RunBatch
-
-    @property
-    def words(self) -> int:
-        return self.batch.words
-
-    def expand(self) -> "Iterator[ReadEvent | WriteEvent]":
-        """Per-transfer events, in element-wise issue order."""
-        for ivs, is_write in self.batch.items():
-            yield WriteEvent(ivs) if is_write else ReadEvent(ivs)
-
-
 @dataclass
 class TraceOverflow:
     """Marker standing in for events dropped past ``max_events``.
@@ -98,7 +72,7 @@ class TraceOverflow:
     dropped: int = 0
 
 
-Event = ReadEvent | WriteEvent | ScopeEvent | BatchEvent | TraceOverflow
+Event = ReadEvent | WriteEvent | ScopeEvent | TraceOverflow
 
 
 class MachineTrace:
@@ -163,15 +137,12 @@ class MachineTrace:
     def transfers(self) -> Iterator[ReadEvent | WriteEvent]:
         """Only the explicit transfer events, in order.
 
-        Coalesced :class:`BatchEvent` records are expanded back into
-        their per-transfer events, so consumers see the same stream on
-        both charging paths.
+        A traced machine is observed, so its runs charge every transfer
+        live: the trace holds the whole stream.
         """
         for ev in self.events:
             if isinstance(ev, (ReadEvent, WriteEvent)):
                 yield ev
-            elif isinstance(ev, BatchEvent):
-                yield from ev.expand()
 
     def address_stream(self) -> Iterator[tuple[int, bool]]:
         """Flatten explicit transfers into ``(address, is_write)`` pairs.

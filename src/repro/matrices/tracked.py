@@ -13,13 +13,14 @@ Table 1.
 tracked matrix (optionally transposed).  It is the operand type of all
 the blocked and recursive algorithms and offers two access styles:
 
-* **charged**: :meth:`BlockRef.load` / :meth:`BlockRef.store` /
-  :meth:`BlockRef.release` issue explicit machine transfers — used by
-  the explicit algorithms (naïve, LAPACK POTRF, Toledo's base cases);
-* **free**: :meth:`BlockRef.peek` / :meth:`BlockRef.poke` touch only
-  the numbers — used *inside* a fitted ideal-cache scope, whose entry
-  already charged the whole footprint (see
-  :meth:`repro.machine.core.HierarchicalMachine.scope`).
+* **free**: :meth:`BlockRef.view` / :meth:`BlockRef.peek` /
+  :meth:`BlockRef.poke` touch only the numbers — the algorithms charge
+  their transfers through the run's charging object
+  (:mod:`repro.sequential.charge_plan`) and compute on the values in
+  between;
+* **charged**: :meth:`BlockRef.load` / :meth:`BlockRef.release` issue
+  an explicit machine read and eviction directly — used by the
+  triangular solves of :mod:`repro.sequential.solve`.
 
 For packed (triangular) layouts the charged words of a block are the
 *stored* entries only; numerically the dense rectangle is returned
@@ -29,15 +30,14 @@ kernels treat symmetric data.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.layouts.base import Layout
 from repro.machine.core import HierarchicalMachine
 from repro.util.fastpath import fastpath_enabled
-from repro.util.intervals import IntervalSet, RunBatch, stack_runs, union_all
+from repro.util.intervals import IntervalSet, stack_runs, union_all
 from repro.util.validation import check_square
 
 #: Entry cap on the per-matrix interval memo (dropped wholesale past it).
@@ -114,27 +114,7 @@ class TrackedMatrix:
             cache[key] = ivs
         return ivs
 
-    # -- batched transfers -------------------------------------------------
-
-    def column_batch(
-        self, r0: int, r1: int, c0: int, c1: int, *, is_write: bool = False
-    ) -> RunBatch:
-        """One transfer per column of ``[r0,r1) × [c0,c1)``, in order.
-
-        Each set equals ``self.intervals(r0, r1, c, c+1)`` — what a
-        per-column ``BlockRef.load``/``store`` would charge — built in
-        closed form on layouts with a uniform column stride and by
-        per-column enumeration otherwise.
-        """
-        ld = self.layout.column_stride
-        if ld is not None and not self.layout.packed and fastpath_enabled():
-            return RunBatch.from_strided(
-                (r0, r1), (c0, c1), ld, base=self.base, is_write=is_write
-            )
-        return RunBatch.from_sets(
-            [self.intervals(r0, r1, c, c + 1) for c in range(c0, c1)],
-            is_write=is_write,
-        )
+    # -- batched runs ----------------------------------------------------
 
     def rect_runs(
         self, rects: "Sequence[tuple[int, int, int, int]]"
@@ -152,15 +132,6 @@ class TrackedMatrix:
             starts, stops, offsets = self.layout.rect_runs(rects)
             return starts + self.base, stops + self.base, offsets
         return stack_runs([self.intervals(*rect) for rect in rects])
-
-    def rect_batch(
-        self,
-        rects: "Sequence[tuple[int, int, int, int]]",
-        is_write: "bool | Sequence[bool]" = False,
-    ) -> RunBatch:
-        """One transfer per ``(r0, r1, c0, c1)`` rectangle, in order
-        (empty rectangles, and their flags, dropped)."""
-        return RunBatch.from_runs(*self.rect_runs(rects), is_write=is_write)
 
     def block(
         self, r0: int, r1: int, c0: int, c1: int
@@ -199,7 +170,8 @@ class BlockRef:
         c1: int,
         transposed: bool = False,
     ) -> None:
-        if not (0 <= r0 <= r1 <= matrix.n and 0 <= c0 <= c1 <= matrix.n):
+        n = matrix.layout.n
+        if not (0 <= r0 <= r1 <= n and 0 <= c0 <= c1 <= n):
             raise ValueError(
                 f"block [{r0},{r1})x[{c0},{c1}) outside "
                 f"{matrix.n}x{matrix.n} matrix {matrix.name!r}"
@@ -332,27 +304,9 @@ class BlockRef:
         self.matrix.machine.read(self.intervals)
         return self.peek()
 
-    def store(self, values: np.ndarray) -> None:
-        """Update values and explicitly transfer the block to slow memory."""
-        self.poke(values)
-        self.matrix.machine.write(self.intervals)
-
-    def alloc(self) -> None:
-        """Mark the block resident without a read (fresh output)."""
-        self.matrix.machine.allocate(self.intervals)
-
     def release(self) -> None:
         """Evict the block from fast memory (no traffic)."""
         self.matrix.machine.release(self.intervals)
-
-    @contextmanager
-    def held(self) -> Iterator[np.ndarray]:
-        """``load`` on entry, ``release`` on exit (read-only use)."""
-        arr = self.load()
-        try:
-            yield arr
-        finally:
-            self.release()
 
     def __repr__(self) -> str:
         t = ".T" if self.transposed else ""

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.machine.core import ModelError
 from repro.matrices.tracked import TrackedMatrix
+from repro.sequential.charge_plan import charging
 from repro.sequential.flops import (
     cholesky_flops,
     gemm_flops,
@@ -52,8 +53,8 @@ def lapack_blocked_right(A: TrackedMatrix, block: int | None = None) -> np.ndarr
     def edge(k: int) -> tuple[int, int]:
         return k * b, min((k + 1) * b, n)
 
-    prof = machine.profiler
-    batched = machine.batched
+    ch = charging(A)
+    prof, data = machine.profiler, A.data
     for J in range(nb):
         j0, j1 = edge(J)
         w = j1 - j0
@@ -62,95 +63,48 @@ def lapack_blocked_right(A: TrackedMatrix, block: int | None = None) -> np.ndarr
             # factor the (already fully updated) diagonal block
             with prof.span("potf2"):
                 diag_ref = A.block(j0, j1, j0, j1)
-                ldiag = dense_cholesky(diag_ref.load())
+                ch.read(diag_ref)
+                ldiag = dense_cholesky(diag_ref.peek())
+                diag_ref.poke(ldiag)
                 machine.add_flops(cholesky_flops(w))
-                diag_ref.store(ldiag)
+                ch.write(diag_ref)
 
             # panel solve, diagonal factor kept resident (2 blocks)
             with prof.span("trsm"):
-                if batched:
-                    if J + 1 < nb:
-                        rects = []
-                        flags = []
-                        for I in range(J + 1, nb):
-                            i0, i1 = edge(I)
-                            rects.append((i0, i1, j0, j1))
-                            rects.append((i0, i1, j0, j1))
-                            flags.extend((False, True))
-                        sub = A.data[j1:n, j0:j1]
-                        sub[...] = solve_lower_transposed_right(sub.copy(), ldiag)
-                        machine.charge_intervals(
-                            A.rect_batch(rects, is_write=flags)
-                        )
-                        machine.add_flops(trsm_flops(n - j1, w))
-                else:
+                if J + 1 < nb:
                     for I in range(J + 1, nb):
-                        i0, i1 = edge(I)
-                        panel_ref = A.block(i0, i1, j0, j1)
-                        panel = solve_lower_transposed_right(panel_ref.load(), ldiag)
-                        machine.add_flops(trsm_flops(i1 - i0, w))
-                        panel_ref.store(panel)
-                        panel_ref.release()
-                diag_ref.release()
+                        panel_ref = A.block(*edge(I), j0, j1)
+                        ch.read(panel_ref)
+                        ch.write(panel_ref)
+                        ch.release(panel_ref)
+                    sub = data[j1:n, j0:j1]
+                    sub[...] = solve_lower_transposed_right(sub.copy(), ldiag)
+                    machine.add_flops(trsm_flops(n - j1, w))
+                ch.release(diag_ref)
 
             # eager trailing update: every remaining block, right now
             with prof.span("update"):
                 for K in range(J + 1, nb):
                     k0, k1 = edge(K)
-                    if batched:
-                        _trailing_update_batched(
-                            A, machine, edge, nb, K, j0, j1, k0, k1, w
-                        )
-                        continue
+                    # at I == K the left operand is L(K,J) itself, so
+                    # releasing it evicts the right operand too
                     right_ref = A.block(k0, k1, j0, j1)  # L(K,J)
-                    right = right_ref.load()
+                    ch.read(right_ref)
                     for I in range(K, nb):
                         i0, i1 = edge(I)
                         left_ref = A.block(i0, i1, j0, j1)  # L(I,J)
-                        left = left_ref.load()
                         target_ref = A.block(i0, i1, k0, k1)
-                        target = target_ref.load()
-                        target -= left @ right.T
-                        if I == K:
-                            machine.add_flops(syrk_flops(i1 - i0, w))
-                        else:
-                            machine.add_flops(gemm_flops(i1 - i0, w, k1 - k0))
-                        target_ref.store(target)
-                        target_ref.release()
-                        left_ref.release()
-                    right_ref.release()
+                        ch.read(left_ref)
+                        ch.read(target_ref)
+                        ch.write(target_ref)
+                        ch.release(target_ref)
+                        ch.release(left_ref)
+                    ch.release(right_ref)
+                    data[k0:n, k0:k1] -= data[k0:n, j0:j1] @ data[k0:k1, j0:j1].T
+                    machine.add_flops(
+                        syrk_flops(k1 - k0, w) + gemm_flops(n - k1, w, k1 - k0)
+                    )
 
+    ch.close()
     machine.release_all()
     return A.lower()
-
-
-def _trailing_update_batched(A, machine, edge, nb, K, j0, j1, k0, k1, w):
-    """Batch block column ``K`` of the eager trailing update.
-
-    Transfer order per the element-wise loop: read ``L(K, J)``, then
-    per target row ``I``: read ``L(I, J)``, read/update/write the
-    target.  The element-wise peak has a wrinkle: at ``I == K`` the
-    left operand aliases ``L(K, J)``, so releasing it also evicts the
-    right operand — later rows hold only a (left, target) pair.
-    ``peak_extra`` reproduces that exactly.
-    """
-    rects = [(k0, k1, j0, j1)]  # right operand L(K,J)
-    flags = [False]
-    for I in range(K, nb):
-        i0, i1 = edge(I)
-        rects.append((i0, i1, j0, j1))
-        rects.append((i0, i1, k0, k1))
-        rects.append((i0, i1, k0, k1))
-        flags.extend((False, False, True))
-    batch = A.rect_batch(rects, is_write=flags)
-    sw = batch.set_words()
-    lefts, targets = sw[1::3], sw[2::3]
-    peak = int(sw[0]) + int(targets[0])  # right + diagonal target
-    if len(lefts) > 1:
-        peak = max(peak, int((lefts[1:] + targets[1:]).max()))
-    n = A.n
-    A.data[k0:n, k0:k1] -= A.data[k0:n, j0:j1] @ A.data[k0:k1, j0:j1].T
-    machine.charge_intervals(batch, peak_extra=peak)
-    machine.add_flops(
-        syrk_flops(k1 - k0, w) + gemm_flops(n - k1, w, k1 - k0)
-    )

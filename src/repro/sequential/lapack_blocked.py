@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.machine.core import ModelError
 from repro.matrices.tracked import TrackedMatrix
+from repro.sequential.charge_plan import charging
 from repro.sequential.flops import (
     cholesky_flops,
     gemm_flops,
@@ -71,8 +72,8 @@ def lapack_blocked(A: TrackedMatrix, block: int | None = None) -> np.ndarray:
         """Row/column range of block index k."""
         return k * b, min((k + 1) * b, n)
 
-    prof = machine.profiler
-    batched = machine.batched
+    ch = charging(A)
+    prof, data = machine.profiler, A.data
     guard = machine.abft
     for J in range(nb):
         j0, j1 = edge(J)
@@ -82,55 +83,43 @@ def lapack_blocked(A: TrackedMatrix, block: int | None = None) -> np.ndarray:
             # --- SYRK: A22 <- A22 - A21 A21^T, streaming history blocks ---
             with prof.span("syrk"):
                 diag_ref = A.block(j0, j1, j0, j1)
-                diag = diag_ref.load()
-                if batched:
-                    if J:
-                        machine.read_batch(
-                            A.rect_batch(
-                                [(j0, j1, *edge(K)) for K in range(J)]
-                            )
-                        )
-                        hist = A.data[j0:j1, :j0]
-                        diag -= hist @ hist.T
-                        machine.add_flops(syrk_flops(w, j0))
-                else:
+                ch.read(diag_ref)
+                diag = diag_ref.peek()
+                if J:
                     for K in range(J):
-                        k0, k1 = edge(K)
-                        hist_ref = A.block(j0, j1, k0, k1)
-                        hist = hist_ref.load()
-                        diag -= hist @ hist.T
-                        machine.add_flops(syrk_flops(w, k1 - k0))
-                        hist_ref.release()
+                        hist_ref = A.block(j0, j1, *edge(K))
+                        ch.read(hist_ref)
+                        ch.release(hist_ref)
+                    hist = data[j0:j1, :j0]
+                    diag -= hist @ hist.T
+                    machine.add_flops(syrk_flops(w, j0))
 
             # --- POTF2: factor the diagonal block in fast memory ---
             with prof.span("potf2"):
-                ldiag = dense_cholesky(diag)
+                diag_ref.poke(dense_cholesky(diag))
                 machine.add_flops(cholesky_flops(w))
-                diag_ref.store(ldiag)
-                diag_ref.release()
+                ch.write(diag_ref)
+                ch.release(diag_ref)
 
             # --- GEMM: panel blocks <- panel - A31 A21^T, streaming pairs ---
             with prof.span("gemm"):
-                if batched:
-                    if J + 1 < nb:
-                        _gemm_phase_batched(A, machine, edge, nb, J, j0, j1, w)
-                else:
-                    for I in range(J + 1, nb):
-                        i0, i1 = edge(I)
-                        panel_ref = A.block(i0, i1, j0, j1)
-                        panel = panel_ref.load()
-                        for K in range(J):
-                            k0, k1 = edge(K)
-                            left_ref = A.block(i0, i1, k0, k1)
-                            right_ref = A.block(j0, j1, k0, k1)
-                            left = left_ref.load()
-                            right = right_ref.load()
-                            panel -= left @ right.T
-                            machine.add_flops(gemm_flops(i1 - i0, k1 - k0, w))
-                            left_ref.release()
-                            right_ref.release()
-                        panel_ref.store(panel)
-                        panel_ref.release()
+                for I in range(J + 1, nb):
+                    i0, i1 = edge(I)
+                    panel_ref = A.block(i0, i1, j0, j1)
+                    ch.read(panel_ref)
+                    for K in range(J):
+                        k0, k1 = edge(K)
+                        left_ref = A.block(i0, i1, k0, k1)
+                        right_ref = A.block(j0, j1, k0, k1)
+                        ch.read(left_ref)
+                        ch.read(right_ref)
+                        ch.release(left_ref)
+                        ch.release(right_ref)
+                    ch.write(panel_ref)
+                    ch.release(panel_ref)
+                if J:
+                    data[j1:n, j0:j1] -= data[j1:n, :j0] @ data[j0:j1, :j0].T
+                    machine.add_flops(gemm_flops(n - j1, j0, w))
 
             if J + 1 == nb:
                 if guard is not None:
@@ -140,79 +129,23 @@ def lapack_blocked(A: TrackedMatrix, block: int | None = None) -> np.ndarray:
 
             # --- TRSM: panel blocks <- panel * L22^{-T} ---
             with prof.span("trsm"):
-                diag_ref2 = A.block(j0, j1, j0, j1)
-                ldiag = diag_ref2.load()
-                if batched:
-                    rects = []
-                    flags = []
-                    for I in range(J + 1, nb):
-                        i0, i1 = edge(I)
-                        rects.append((i0, i1, j0, j1))
-                        rects.append((i0, i1, j0, j1))
-                        flags.extend((False, True))
-                    sub = A.data[j1:n, j0:j1]
-                    sub[...] = solve_lower_transposed_right(sub.copy(), ldiag)
-                    machine.charge_intervals(A.rect_batch(rects, is_write=flags))
-                    machine.add_flops(trsm_flops(n - j1, w))
-                else:
-                    for I in range(J + 1, nb):
-                        i0, i1 = edge(I)
-                        panel_ref = A.block(i0, i1, j0, j1)
-                        panel = panel_ref.load()
-                        panel = solve_lower_transposed_right(panel, ldiag)
-                        machine.add_flops(trsm_flops(i1 - i0, w))
-                        panel_ref.store(panel)
-                        panel_ref.release()
-                diag_ref2.release()
+                ch.read(diag_ref)
+                ldiag = diag_ref.peek()
+                for I in range(J + 1, nb):
+                    panel_ref = A.block(*edge(I), j0, j1)
+                    ch.read(panel_ref)
+                    ch.write(panel_ref)
+                    ch.release(panel_ref)
+                sub = data[j1:n, j0:j1]
+                sub[...] = solve_lower_transposed_right(sub.copy(), ldiag)
+                machine.add_flops(trsm_flops(n - j1, w))
+                ch.release(diag_ref)
 
             if guard is not None:
                 # panel J finished: everything modified since the last
                 # boundary lives in [j0, n) × [j0, j1)
                 guard.phase(j0, n, j0, j1)
 
+    ch.close()
     machine.release_all()
     return A.lower()
-
-
-def _gemm_phase_batched(A, machine, edge, nb, J, j0, j1, w):
-    """One batch for the whole GEMM phase of panel ``J``.
-
-    Per panel block ``I`` (in order): read the block, read the
-    ``(left, right)`` history pair for each ``K < J``, write the block
-    back — the element-wise transfer sequence, coalesced.  The
-    element-wise loop holds the panel block plus one history pair, so
-    ``peak_extra`` is the largest such triple rather than the largest
-    single set.
-    """
-    rects = []
-    flags = []
-    for I in range(J + 1, nb):
-        i0, i1 = edge(I)
-        rects.append((i0, i1, j0, j1))
-        flags.append(False)
-        for K in range(J):
-            k0, k1 = edge(K)
-            rects.append((i0, i1, k0, k1))
-            rects.append((j0, j1, k0, k1))
-            flags.extend((False, False))
-        rects.append((i0, i1, j0, j1))
-        flags.append(True)
-    batch = A.rect_batch(rects, is_write=flags)
-    peak = 0
-    if batch.nsets:
-        sw = batch.set_words()
-        per_block = 2 * J + 2  # read + J pairs + write
-        pos = 0
-        for I in range(J + 1, nb):
-            group = sw[pos : pos + per_block]
-            pair_peak = 0
-            if J:
-                pairs = group[1:-1]
-                pair_peak = int((pairs[0::2] + pairs[1::2]).max())
-            peak = max(peak, int(group[0]) + pair_peak)
-            pos += per_block
-    n = A.n
-    if J:
-        A.data[j1:n, j0:j1] -= A.data[j1:n, :j0] @ A.data[j0:j1, :j0].T
-        machine.add_flops(gemm_flops(n - j1, j0, w))
-    machine.charge_intervals(batch, peak_extra=peak)

@@ -17,6 +17,14 @@ The implementations follow the paper's two regimes exactly:
 * ``4 <= M < 2n`` — the segmented regime of §3.1.4–3.1.5: columns are
   streamed through fast memory in pivot-pinned segments, with the
   same Θ(n³) bandwidth and O(n³/M) messages.
+
+Each variant is one walk: every transfer the paper counts goes through
+the run's charging object (:func:`~repro.sequential.charge_plan.charging`:
+one machine call per transfer, or one planned batch for a run nothing
+observes on one fast level), while the numbers are computed a column,
+segment or row at a time — one GEMV, or one rank-1 ``tril`` update,
+where the paper's loop runs k axpys.  Both paths therefore produce the
+same bits.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import numpy as np
 
 from repro.machine.core import ModelError
 from repro.matrices.tracked import TrackedMatrix
+from repro.sequential.charge_plan import charging
 from repro.sequential.flops import column_scale_flops, column_update_flops
 
 
@@ -39,110 +48,48 @@ def naive_left_looking(A: TrackedMatrix) -> np.ndarray:
     """Algorithm 2: naïve left-looking Cholesky.
 
     Column ``j`` is finalized by subtracting the contributions of all
-    previous columns (re-read from slow memory each time), then scaled
-    by the square root of its pivot.
-
-    When the machine's batched fast path is on, the inner re-read loop
-    charges one :class:`~repro.util.intervals.RunBatch` per column and
-    computes the update as a single GEMV — the counts, the trace (after
-    batch expansion), and the numbers match the element-wise loop
-    exactly.
+    previous columns (re-read from slow memory each time, one transfer
+    per column, as the paper counts them), then scaled by the square
+    root of its pivot.  The update itself is one GEMV over the previous
+    columns.
 
     Returns the lower factor ``L`` (also left in ``A``'s lower
     triangle).
     """
-    n, machine, M = A.n, A.machine, A.machine.M
-    if M >= 2 * n:
-        if machine.batched:
-            _left_whole_columns_batched(A)
-        else:
-            _left_whole_columns(A)
-    else:
+    n, M = A.n, A.machine.M
+    if M < 2 * n:
         _require(M >= 4, f"naïve left-looking needs M >= 4, got M={M}")
-        if machine.batched:
-            _left_segmented_batched(A)
-        else:
-            _left_segmented(A)
-    machine.release_all()
+    ch = charging(A)
+    (_left_whole_columns if M >= 2 * n else _left_segmented)(ch, A)
+    ch.close()
+    A.machine.release_all()
     return A.lower()
 
 
-def _left_whole_columns(A: TrackedMatrix) -> None:
-    n, machine = A.n, A.machine
+def _left_whole_columns(ch, A: TrackedMatrix) -> None:
+    n, machine, data = A.n, A.machine, A.data
     prof = machine.profiler
     for j in range(n):
         with prof.span("column", j=j):
-            colj_ref = A.block(j, n, j, j + 1)
-            colj = colj_ref.load()
-            for k in range(j):
-                colk_ref = A.block(j, n, k, k + 1)
-                colk = colk_ref.load()
-                colj -= colk * colk[0, 0]
-                machine.add_flops(column_update_flops(n - j))
-                colk_ref.release()
-            _scale_column_in_place(colj, machine)
-            colj_ref.store(colj)
-            colj_ref.release()
-
-
-def _left_whole_columns_batched(A: TrackedMatrix) -> None:
-    n, machine = A.n, A.machine
-    prof = machine.profiler
-    for j in range(n):
-        with prof.span("column", j=j):
-            colj_ref = A.block(j, n, j, j + 1)
-            colj = colj_ref.load()
+            colj = A.block(j, n, j, j + 1)
+            ch.read(colj)
+            col = colj.view()
             if j:
-                # one transfer per previous column k, in k order; each
-                # is held beside the resident colj, exactly like the
-                # load/release loop (default peak_extra = n - j)
-                machine.read_batch(A.column_batch(j, n, 0, j))
-                colj -= A.data[j:n, :j] @ A.data[j, :j, None]
-                machine.add_flops(j * column_update_flops(n - j))
-            _scale_column_in_place(colj, machine)
-            colj_ref.store(colj)
-            colj_ref.release()
-
-
-def _left_segmented(A: TrackedMatrix) -> None:
-    n, machine, M = A.n, A.machine, A.machine.M
-    prof = machine.profiler
-    seg = max(1, (M - 2) // 2)  # segment + sibling segment + 2 pinned words
-    for j in range(n):
-        with prof.span("column", j=j):
-            pivot: float | None = None
-            pivot_ref = A.block(j, j + 1, j, j + 1)
-            for r in range(j, n, seg):
-                re = min(r + seg, n)
-                seg_ref = A.block(r, re, j, j + 1)
-                vals = seg_ref.load()
                 for k in range(j):
-                    segk_ref = A.block(r, re, k, k + 1)
-                    segk = segk_ref.load()
-                    ajk_ref = A.block(j, j + 1, k, k + 1)
-                    ajk = ajk_ref.load()[0, 0]
-                    vals -= segk * ajk
-                    machine.add_flops(column_update_flops(re - r))
-                    segk_ref.release()
-                    ajk_ref.release()
-                if r == j:
-                    _scale_column_in_place(vals, machine)
-                    pivot = float(vals[0, 0])
-                else:
-                    vals /= pivot
-                    machine.add_flops(re - r)
-                seg_ref.store(vals)
-                seg_ref.release()
-                if r == j:
-                    # pin the finished pivot (one word) for later segments
-                    pivot_ref.load()
-            pivot_ref.release()
+                    colk = A.block(j, n, k, k + 1)
+                    ch.read(colk)
+                    ch.release(colk)
+                col -= data[j:n, :j] @ data[j, :j, None]
+                machine.add_flops(j * column_update_flops(n - j))
+            _scale_column_in_place(col, machine)
+            ch.write(colj)
+            ch.release(colj)
 
 
-def _left_segmented_batched(A: TrackedMatrix) -> None:
-    n, machine, M = A.n, A.machine, A.machine.M
+def _left_segmented(ch, A: TrackedMatrix) -> None:
+    n, machine, data = A.n, A.machine, A.data
     prof = machine.profiler
-    seg = max(1, (M - 2) // 2)
+    seg = max(1, (machine.M - 2) // 2)  # segment + sibling + 2 pinned words
     for j in range(n):
         with prof.span("column", j=j):
             pivot: float | None = None
@@ -150,22 +97,19 @@ def _left_segmented_batched(A: TrackedMatrix) -> None:
             for r in range(j, n, seg):
                 re = min(r + seg, n)
                 seg_ref = A.block(r, re, j, j + 1)
-                vals = seg_ref.load()
+                ch.read(seg_ref)
+                vals = seg_ref.view()
                 if j:
-                    # element-wise order: (segment k, multiplier a_jk)
-                    # pairs; both are held at once beside the resident
-                    # segment.  In the pivot segment (r == j) the
-                    # multiplier's address lies inside the loaded
-                    # segment, so it adds no extra word there.
-                    rects = []
+                    # (segment k, multiplier a_jk) pairs; in the pivot
+                    # segment a_jk lies inside segment k
                     for k in range(j):
-                        rects.append((r, re, k, k + 1))
-                        rects.append((j, j + 1, k, k + 1))
-                    machine.read_batch(
-                        A.rect_batch(rects),
-                        peak_extra=(re - r) + (1 if r > j else 0),
-                    )
-                    vals -= A.data[r:re, :j] @ A.data[j, :j, None]
+                        segk = A.block(r, re, k, k + 1)
+                        ajk = A.block(j, j + 1, k, k + 1)
+                        ch.read(segk)
+                        ch.read(ajk)
+                        ch.release(segk)
+                        ch.release(ajk)
+                    vals -= data[r:re, :j] @ data[j, :j, None]
                     machine.add_flops(j * column_update_flops(re - r))
                 if r == j:
                     _scale_column_in_place(vals, machine)
@@ -173,11 +117,12 @@ def _left_segmented_batched(A: TrackedMatrix) -> None:
                 else:
                     vals /= pivot
                     machine.add_flops(re - r)
-                seg_ref.store(vals)
-                seg_ref.release()
+                ch.write(seg_ref)
+                ch.release(seg_ref)
                 if r == j:
-                    pivot_ref.load()
-            pivot_ref.release()
+                    # pin the finished pivot (one word) for later segments
+                    ch.read(pivot_ref)
+            ch.release(pivot_ref)
 
 
 def naive_right_looking(A: TrackedMatrix) -> np.ndarray:
@@ -185,78 +130,56 @@ def naive_right_looking(A: TrackedMatrix) -> np.ndarray:
 
     Column ``j`` is finalized first, then immediately pushed into
     every trailing column (each read, updated, and written back) —
-    twice the bandwidth of the left-looking variant, same Θ(n³).
+    twice the bandwidth of the left-looking variant, same Θ(n³).  The
+    push is one rank-1 update of the trailing lower triangle.
 
     Returns the lower factor ``L``.
     """
-    n, machine, M = A.n, A.machine, A.machine.M
-    if M >= 2 * n:
-        if machine.batched:
-            _right_whole_columns_batched(A)
-        else:
-            _right_whole_columns(A)
-    else:
+    n, M = A.n, A.machine.M
+    if M < 2 * n:
         _require(M >= 4, f"naïve right-looking needs M >= 4, got M={M}")
-        if machine.batched:
-            _right_segmented_batched(A)
-        else:
-            _right_segmented(A)
-    machine.release_all()
+    ch = charging(A)
+    (_right_whole_columns if M >= 2 * n else _right_segmented)(ch, A)
+    ch.close()
+    A.machine.release_all()
     return A.lower()
 
 
-def _right_whole_columns(A: TrackedMatrix) -> None:
+def _rank1_trailing_update(A: TrackedMatrix, j: int) -> None:
+    """Subtract column ``j``'s outer product from the trailing lower
+    triangle (only the stored, lower entries change)."""
+    n = A.n
+    v = A.data[j + 1 : n, j]
+    A.data[j + 1 : n, j + 1 : n] -= np.tril(np.outer(v, v))
+    A.machine.add_flops((n - j - 1) * (n - j))
+
+
+def _right_whole_columns(ch, A: TrackedMatrix) -> None:
     n, machine = A.n, A.machine
     prof = machine.profiler
     for j in range(n):
         with prof.span("column", j=j):
-            colj_ref = A.block(j, n, j, j + 1)
-            colj = colj_ref.load()
-            _scale_column_in_place(colj, machine)
-            for k in range(j + 1, n):
-                colk_ref = A.block(k, n, k, k + 1)
-                colk = colk_ref.load()
-                colk -= colj[k - j :] * colj[k - j, 0]
-                machine.add_flops(column_update_flops(n - k))
-                colk_ref.store(colk)
-                colk_ref.release()
-            colj_ref.store(colj)
-            colj_ref.release()
-
-
-def _right_whole_columns_batched(A: TrackedMatrix) -> None:
-    n, machine = A.n, A.machine
-    prof = machine.profiler
-    for j in range(n):
-        with prof.span("column", j=j):
-            colj_ref = A.block(j, n, j, j + 1)
-            colj = colj_ref.load()
-            _scale_column_in_place(colj, machine)
+            colj = A.block(j, n, j, j + 1)
+            ch.read(colj)
+            _scale_column_in_place(colj.view(), machine)
             if j + 1 < n:
-                # each trailing column k is read, updated and written
-                # back: (read colk, write colk) pairs in k order
-                rects = []
-                flags = []
                 for k in range(j + 1, n):
-                    rects.append((k, n, k, k + 1))
-                    rects.append((k, n, k, k + 1))
-                    flags.extend((False, True))
-                v = colj[1:, 0]
-                # only the stored (lower-triangular) entries change
-                A.data[j + 1 : n, j + 1 : n] -= np.tril(np.outer(v, v))
-                machine.charge_intervals(A.rect_batch(rects, is_write=flags))
-                machine.add_flops((n - j - 1) * (n - j))
-            colj_ref.store(colj)
-            colj_ref.release()
+                    colk = A.block(k, n, k, k + 1)
+                    ch.read(colk)
+                    ch.write(colk)
+                    ch.release(colk)
+                _rank1_trailing_update(A, j)
+            ch.write(colj)
+            ch.release(colj)
 
 
-def _right_segmented(A: TrackedMatrix) -> None:
-    n, machine, M = A.n, A.machine, A.machine.M
+def _right_segmented(ch, A: TrackedMatrix) -> None:
+    n, machine = A.n, A.machine
     prof = machine.profiler
     # factorization phase: segment + pinned pivot word
-    seg_f = max(1, M - 1)
+    seg_f = max(1, machine.M - 1)
     # update phase: two sibling segments + pinned multiplier word
-    seg_u = max(1, (M - 1) // 2)
+    seg_u = max(1, (machine.M - 1) // 2)
     for j in range(n):
         with prof.span("column", j=j):
             pivot: float | None = None
@@ -264,85 +187,37 @@ def _right_segmented(A: TrackedMatrix) -> None:
             for r in range(j, n, seg_f):
                 re = min(r + seg_f, n)
                 seg_ref = A.block(r, re, j, j + 1)
-                vals = seg_ref.load()
+                ch.read(seg_ref)
+                vals = seg_ref.view()
                 if r == j:
                     _scale_column_in_place(vals, machine)
                     pivot = float(vals[0, 0])
                 else:
                     vals /= pivot
                     machine.add_flops(re - r)
-                seg_ref.store(vals)
-                seg_ref.release()
+                ch.write(seg_ref)
+                ch.release(seg_ref)
                 if r == j:
-                    pivot_ref.load()
-            pivot_ref.release()
-            for k in range(j + 1, n):
-                akj_ref = A.block(k, k + 1, j, j + 1)
-                akj = akj_ref.load()[0, 0]
-                for r in range(k, n, seg_u):
-                    re = min(r + seg_u, n)
-                    segj_ref = A.block(r, re, j, j + 1)
-                    segk_ref = A.block(r, re, k, k + 1)
-                    segj = segj_ref.load()
-                    segk = segk_ref.load()
-                    segk -= segj * akj
-                    machine.add_flops(column_update_flops(re - r))
-                    segk_ref.store(segk)
-                    segj_ref.release()
-                    segk_ref.release()
-                akj_ref.release()
-
-
-def _right_segmented_batched(A: TrackedMatrix) -> None:
-    n, machine, M = A.n, A.machine, A.machine.M
-    prof = machine.profiler
-    seg_f = max(1, M - 1)
-    seg_u = max(1, (M - 1) // 2)
-    for j in range(n):
-        with prof.span("column", j=j):
-            pivot: float | None = None
-            pivot_ref = A.block(j, j + 1, j, j + 1)
-            # factorization phase is O(n / seg) transfers — element-wise
-            for r in range(j, n, seg_f):
-                re = min(r + seg_f, n)
-                seg_ref = A.block(r, re, j, j + 1)
-                vals = seg_ref.load()
-                if r == j:
-                    _scale_column_in_place(vals, machine)
-                    pivot = float(vals[0, 0])
-                else:
-                    vals /= pivot
-                    machine.add_flops(re - r)
-                seg_ref.store(vals)
-                seg_ref.release()
-                if r == j:
-                    pivot_ref.load()
-            pivot_ref.release()
+                    ch.read(pivot_ref)
+            ch.release(pivot_ref)
             if j + 1 < n:
-                # the whole update phase is one batch, in element-wise
-                # order: per trailing column k, the multiplier a_kj, then
-                # (read segj, read segk, write segk) per segment.  a_kj
-                # lies inside k's first segj and leaves with it, so
-                # column k peaks at its first pair of sibling segments,
-                # 2·min(seg_u, n - k) words; k = j + 1 peaks highest.
-                rects = []
-                flags = []
+                # per trailing column k: the multiplier a_kj, then
+                # (segj, segk) pairs; a_kj lies inside k's first segj
+                # and leaves with it
                 for k in range(j + 1, n):
-                    rects.append((k, k + 1, j, j + 1))
-                    flags.append(False)
+                    akj = A.block(k, k + 1, j, j + 1)
+                    ch.read(akj)
                     for r in range(k, n, seg_u):
                         re = min(r + seg_u, n)
-                        rects.append((r, re, j, j + 1))
-                        rects.append((r, re, k, k + 1))
-                        rects.append((r, re, k, k + 1))
-                        flags.extend((False, False, True))
-                v = A.data[j + 1 : n, j]
-                A.data[j + 1 : n, j + 1 : n] -= np.tril(np.outer(v, v))
-                machine.charge_intervals(
-                    A.rect_batch(rects, is_write=flags),
-                    peak_extra=2 * min(seg_u, n - j - 1),
-                )
-                machine.add_flops((n - j - 1) * (n - j))
+                        segj = A.block(r, re, j, j + 1)
+                        segk = A.block(r, re, k, k + 1)
+                        ch.read(segj)
+                        ch.read(segk)
+                        ch.write(segk)
+                        ch.release(segj)
+                        ch.release(segk)
+                    ch.release(akj)
+                _rank1_trailing_update(A, j)
 
 
 def naive_up_looking(A: TrackedMatrix) -> np.ndarray:
@@ -360,29 +235,23 @@ def naive_up_looking(A: TrackedMatrix) -> np.ndarray:
         M >= 2 * n,
         f"naïve up-looking is implemented for M >= 2n (got M={M}, n={n})",
     )
-    prof = machine.profiler
-    batched = machine.batched
+    ch = charging(A)
+    prof, data = machine.profiler, A.data
     for i in range(n):
         with prof.span("row", i=i):
             rowi_ref = A.block(i, i + 1, 0, i + 1)
-            rowi = rowi_ref.load()[0]
-            if batched and i:
-                # the i previous-row reads coalesce into one batch; the
-                # solve itself stays sequential (rowi[j] feeds rowi[j+1])
-                machine.read_batch(
-                    A.rect_batch([(j, j + 1, 0, j + 1) for j in range(i)])
-                )
+            ch.read(rowi_ref)
+            rowi = rowi_ref.peek()[0]
+            if i:
                 for j in range(i):
-                    rowj = A.data[j, : j + 1]
+                    rowj = A.block(j, j + 1, 0, j + 1)
+                    ch.read(rowj)
+                    ch.release(rowj)
+                # the solve stays sequential: rowi[j] feeds rowi[j+1]
+                for j in range(i):
+                    rowj = data[j, : j + 1]
                     rowi[j] = (rowi[j] - rowi[:j] @ rowj[:j]) / rowj[j]
                 machine.add_flops(i * i)
-            else:
-                for j in range(i):
-                    rowj_ref = A.block(j, j + 1, 0, j + 1)
-                    rowj = rowj_ref.load()[0]
-                    rowi[j] = (rowi[j] - rowi[:j] @ rowj[:j]) / rowj[j]
-                    machine.add_flops(2 * j + 1)
-                    rowj_ref.release()
             pivot = rowi[i] - rowi[:i] @ rowi[:i]
             if pivot <= 0:
                 raise np.linalg.LinAlgError(
@@ -390,8 +259,10 @@ def naive_up_looking(A: TrackedMatrix) -> np.ndarray:
                 )
             rowi[i] = math.sqrt(pivot)
             machine.add_flops(2 * i + 1)
-            rowi_ref.store(rowi[None, :])
-            rowi_ref.release()
+            rowi_ref.poke(rowi[None, :])
+            ch.write(rowi_ref)
+            ch.release(rowi_ref)
+    ch.close()
     machine.release_all()
     return A.lower()
 

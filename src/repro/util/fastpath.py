@@ -2,14 +2,15 @@
 
 One switch chooses, for the whole process, how the simulator charges:
 
-* on (the default): the batched charging layer — each machine built
-  while it is on takes the batched transfer APIs inside the algorithms
-  (:attr:`repro.machine.core.HierarchicalMachine.batched`), and the
-  recursions charge an unobserved run as one planned batch — plus the
-  count-neutral fast paths (NumPy interval merging, closed-form layout
-  runs, interval memoization);
-* off: the original element-wise code paths end to end, the reference
-  the golden count-equality tests hold the fast path to.
+* on (the default): each machine built while it is on may charge a
+  run nothing observes as one planned batch
+  (:attr:`repro.machine.core.HierarchicalMachine.batched`, read by
+  :func:`repro.sequential.charge_plan.plan_eligible`), and the
+  count-neutral fast paths apply (NumPy interval merging, closed-form
+  layout runs, interval memoization);
+* off: every algorithm charges live, one machine call per transfer or
+  scope, end to end — the reference the golden count-equality tests
+  hold the plans to.
 
 The modeled counts are the same either way.  Setting
 ``REPRO_SLOW_PATH=1`` in the environment turns the switch off at

@@ -378,7 +378,8 @@ def gather_runs(
     counts = offsets[ids + 1] - lo
     out = np.zeros(len(ids) + 1, dtype=np.int64)
     np.cumsum(counts, out=out[1:])
-    idx = np.arange(out[-1], dtype=np.int64) + np.repeat(lo - out[:-1], counts)
+    idx = np.repeat(lo - out[:-1], counts)
+    idx += np.arange(len(idx), dtype=np.int64)
     return starts[idx], stops[idx], out
 
 
@@ -419,9 +420,9 @@ def union_groups(
 class RunBatch:
     """An ordered sequence of per-transfer interval sets, as arrays.
 
-    The batched charging layer's unit of work: each *set* is one
-    explicit transfer (exactly what the element-wise path would pass to
-    ``machine.read``/``machine.write``), kept in issue order.  Runs are
+    A charge plan's unit of work: each *set* is one transfer (exactly
+    what the live path charges with one ``machine.read``/``machine.write``
+    call or one scope boundary), kept in issue order.  Runs are
     stored struct-of-arrays (``starts``/``stops`` per run, ``offsets``
     delimiting each set's runs, ``is_write`` per set) so words and
     messages are charged with O(#runs) NumPy reductions instead of
@@ -464,27 +465,6 @@ class RunBatch:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def empty(cls) -> "RunBatch":
-        return cls(
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-        )
-
-    @classmethod
-    def from_sets(
-        cls,
-        sets: "Sequence[IntervalSet]",
-        is_write: "bool | Sequence[bool]" = False,
-    ) -> "RunBatch":
-        """Build from :class:`IntervalSet` transfers, preserving order.
-
-        ``is_write`` is a single flag for the whole batch or one flag
-        per input set (flags of dropped empty sets are dropped too).
-        """
-        return cls.from_runs(*stack_runs(sets), is_write=is_write)
-
-    @classmethod
     def from_runs(
         cls,
         starts: np.ndarray,
@@ -508,36 +488,6 @@ class RunBatch:
             flags = flags[keep]
         return cls(starts, stops, offsets, flags)
 
-    @classmethod
-    def from_strided(
-        cls,
-        rows: "tuple[int, int]",
-        col_range: "tuple[int, int]",
-        ld: int,
-        *,
-        base: int = 0,
-        is_write: bool = False,
-    ) -> "RunBatch":
-        """One single-run set per column of a strided (dense) panel.
-
-        Column ``c`` becomes the transfer ``[base + r0 + c·ld,
-        base + r1 + c·ld)`` — the closed form of what
-        ``layout.intervals(r0, r1, c, c+1)`` yields on a column-major
-        layout, one set per column in column order.
-        """
-        (r0, r1), (c0, c1) = rows, col_range
-        if r1 <= r0 or c1 <= c0:
-            return cls.empty()
-        if not 0 <= r0 <= r1 <= ld:
-            raise ValueError(
-                f"rows [{r0},{r1}) must satisfy 0 <= r0 <= r1 <= ld={ld}"
-            )
-        starts = base + r0 + np.arange(c0, c1, dtype=np.int64) * ld
-        stops = starts + (r1 - r0)
-        nsets = c1 - c0
-        flags = np.full(nsets, bool(is_write), dtype=bool)
-        return cls(starts, stops, np.arange(nsets + 1, dtype=np.int64), flags)
-
     # -- queries -------------------------------------------------------
 
     @property
@@ -553,26 +503,14 @@ class RunBatch:
         """Total words across all transfers."""
         return int((self.stops - self.starts).sum())
 
-    def set_words(self) -> np.ndarray:
-        """Words per transfer (same order as the sets)."""
-        cum = np.concatenate(
-            ([0], np.cumsum(self.stops - self.starts, dtype=np.int64))
-        )
-        return cum[self.offsets[1:]] - cum[self.offsets[:-1]]
-
-    def max_set_words(self) -> int:
-        """Words of the largest single transfer (0 for an empty batch)."""
-        sw = self.set_words()
-        return int(sw.max()) if len(sw) else 0
-
     def _run_is_write(self) -> np.ndarray:
         return np.repeat(self.is_write, np.diff(self.offsets))
 
     def direction_words(self) -> "tuple[int, int]":
         """``(read_words, write_words)`` totals."""
         lengths = self.stops - self.starts
-        w = self._run_is_write()
-        return int(lengths[~w].sum()), int(lengths[w].sum())
+        written = int(lengths.sum(where=self._run_is_write()))
+        return int(lengths.sum()) - written, written
 
     def direction_messages(self, cap: int | None = None) -> "tuple[int, int]":
         """``(read_messages, write_messages)`` under a message cap.
@@ -583,37 +521,15 @@ class RunBatch:
         """
         w = self._run_is_write()
         if cap is None:
-            return int((~w).sum()), int(w.sum())
+            written = int(w.sum())
+            return len(w) - written, written
         if cap <= 0:
             raise ValueError(f"message cap must be positive, got {cap}")
-        msgs = -((self.starts - self.stops) // cap)  # ceil(len / cap)
-        return int(msgs[~w].sum()), int(msgs[w].sum())
-
-    def with_writes(self, is_write: bool) -> "RunBatch":
-        """The same transfers with every direction flag forced."""
-        flags = np.full(self.nsets, bool(is_write), dtype=bool)
-        return RunBatch(self.starts, self.stops, self.offsets, flags)
-
-    # -- expansion (trace replay, fault fallback) ----------------------
-
-    def items(self) -> "Iterator[tuple[IntervalSet, bool]]":
-        """Yield ``(IntervalSet, is_write)`` per transfer, in order."""
-        starts = self.starts.tolist()
-        stops = self.stops.tolist()
-        offs = self.offsets.tolist()
-        for i, w in enumerate(self.is_write.tolist()):
-            lo, hi = offs[i], offs[i + 1]
-            yield (
-                IntervalSet._from_normalized(
-                    tuple(zip(starts[lo:hi], stops[lo:hi]))
-                ),
-                w,
-            )
-
-    def sets(self) -> "Iterator[IntervalSet]":
-        """Yield each transfer's :class:`IntervalSet`, in order."""
-        for ivs, _ in self.items():
-            yield ivs
+        msgs = self.stops - self.starts  # ceil(len / cap), in place
+        msgs += cap - 1
+        msgs //= cap
+        written = int(msgs.sum(where=w))
+        return int(msgs.sum()) - written, written
 
     def __repr__(self) -> str:
         return (

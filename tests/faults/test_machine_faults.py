@@ -1,14 +1,15 @@
 """Transient read faults on the sequential machine (DAM model)."""
 
 import numpy as np
+import pytest
 
 from repro.faults import FaultPlan
 from repro.layouts import make_layout
-from repro.machine import SequentialMachine
+from repro.machine import ModelError, SequentialMachine
 from repro.matrices import TrackedMatrix
 from repro.matrices.generators import random_spd
 from repro.sequential.registry import run_algorithm
-from repro.util.intervals import IntervalSet, RunBatch
+from repro.util.intervals import IntervalSet, RunBatch, stack_runs
 
 
 def factor(n=16, M=64, plan=None, algorithm="naive-left"):
@@ -75,27 +76,45 @@ class TestReadFaults:
         assert one_run() == first
 
 
-class TestBatchFallback:
-    """With faults armed, ``charge_intervals`` replays the batch per set."""
+class TestBatchesNeedAnUnwatchedMachine:
+    """Only a charge plan batches, and only on a machine that nothing
+    observes and no fault injector arms: every other machine charges
+    its transfers live, so a batch there is refused before it counts."""
 
-    def test_fallback_keeps_the_resident_set(self):
-        # a batch read that overlaps an already-resident word must not
-        # evict it: the fallback has to leave residency (and so the
-        # noted peak) exactly where the fault-free batch leaves it
-        batch = RunBatch.from_sets(
-            [IntervalSet.single(10, 20), IntervalSet.single(100, 110)]
+    @staticmethod
+    def _arm(machine, how):
+        if how == "faults":
+            machine.attach_faults(FaultPlan(seed=11, read_fault=0.05))
+        elif how == "spans":
+            from repro.observability.spans import observe
+
+            observe(machine)
+        elif how == "guard":
+            from repro.serving.budget import Budget, BudgetGuard
+
+            machine.attach_guard(BudgetGuard(Budget()))
+        elif how == "abft":
+            machine.abft = object()
+
+    @pytest.mark.parametrize(
+        "how", ["trace", "spans", "guard", "abft", "faults"]
+    )
+    def test_charge_intervals_raises_on_a_watched_machine(self, how):
+        machine = SequentialMachine(64, record_trace=how == "trace")
+        self._arm(machine, how)
+        batch = RunBatch.from_runs(*stack_runs([IntervalSet.single(10, 20)]))
+        with pytest.raises(ModelError):
+            machine.charge_intervals(batch, peak_extra=10)
+        assert machine.levels[0].counters == SequentialMachine(64).counters
+        assert machine.batch_hits == 0
+
+    def test_charge_intervals_counts_on_a_plain_machine(self):
+        machine = SequentialMachine(64)
+        batch = RunBatch.from_runs(
+            *stack_runs([IntervalSet.single(10, 20), IntervalSet.single(30, 32)]),
+            is_write=[False, True],
         )
-        seen = []
-        for plan in (None, FaultPlan(seed=11, read_fault=0.05)):
-            machine = SequentialMachine(64)
-            machine.attach_faults(plan)
-            machine.read(IntervalSet.single(10, 11))
-            machine.charge_intervals(batch, peak_extra=19)
-            seen.append(
-                (machine.resident, machine.levels[0].peak_resident,
-                 machine.batch_hits)
-            )
-        assert seen == [
-            (IntervalSet.single(10, 11), 20, 1),
-            (IntervalSet.single(10, 11), 20, 0),  # per-set fallback
-        ]
+        machine.charge_intervals(batch, peak_extra=12)
+        lvl = machine.levels[0]
+        assert (lvl.counters.words_read, lvl.counters.words_written) == (10, 2)
+        assert (lvl.peak_resident, machine.batch_hits) == (12, 1)

@@ -1,4 +1,4 @@
-"""``Layout.rect_runs`` and ``TrackedMatrix.rect_batch``, checked exactly.
+"""``Layout.rect_runs`` and ``TrackedMatrix.rect_runs``, checked exactly.
 
 ``rect_runs`` is the batch form of :meth:`Layout.intervals`: column-major
 builds it in closed form and Morton from one sorted address array, the
@@ -20,7 +20,7 @@ import pytest
 from repro.layouts import LayoutError, available_layouts, make_layout
 from repro.machine import SequentialMachine
 from repro.matrices.tracked import TrackedMatrix
-from repro.util.intervals import EMPTY, RunBatch
+from repro.util.intervals import EMPTY, RunBatch, stack_runs
 
 LAYOUTS = available_layouts()
 SAMPLE_SIZES = (13, 31, 33, 100, 160)
@@ -95,8 +95,9 @@ def test_out_of_range_rectangle_raises_layout_error(name, bad):
 
 
 @pytest.mark.parametrize("name", LAYOUTS)
-def test_rect_batch_equals_from_sets_over_the_memo(name):
-    """Empty rectangles and their flags are dropped; runs are global."""
+def test_tracked_rect_runs_equal_the_memo(name):
+    """Runs are global and equal the memo's sets; a batch built from
+    them drops empty rectangles and their flags."""
     n = 33
     machine = SequentialMachine(64)
     TrackedMatrix(np.eye(n), _layout(name, n), machine)  # base > 0 below
@@ -105,12 +106,11 @@ def test_rect_batch_equals_from_sets_over_the_memo(name):
     rects = _sample_rects(n, 80, seed=5) + [(4, 4, 0, 3), (0, 3, 7, 7)]
     rng = random.Random(6)
     flags = [rng.random() < 0.5 for _ in rects]
-    expected = RunBatch.from_sets(
-        [A.intervals(*r) for r in rects], is_write=flags
-    )
-    got = A.rect_batch(rects, is_write=flags)
-    assert EMPTY in [A.intervals(*r) for r in rects]
-    for field in ("starts", "stops", "offsets", "is_write"):
-        assert getattr(got, field).tolist() == getattr(expected, field).tolist()
-    uniform = A.rect_batch(rects, is_write=True)
-    assert uniform.is_write.all() and uniform.nsets == expected.nsets
+    sets = [A.intervals(*r) for r in rects]
+    assert EMPTY in sets
+    got = A.rect_runs(rects)
+    for g, want in zip(got, stack_runs(sets)):
+        assert g.tolist() == want.tolist()
+    batch = RunBatch.from_runs(*got, is_write=flags)
+    kept = [f for s, f in zip(sets, flags) if s]
+    assert batch.is_write.tolist() == kept and batch.nsets == len(kept)

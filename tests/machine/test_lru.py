@@ -79,58 +79,6 @@ class TestLRUCache:
         assert c.stats.miss_rate == pytest.approx(0.5)
 
 
-class TestBulkTouch:
-    """``access_run``/``replay_runs`` must be indistinguishable from
-    the per-address protocol — state, stats and hit counts alike."""
-
-    @settings(max_examples=50)
-    @given(
-        st.integers(1, 24),
-        st.booleans(),
-        st.lists(
-            st.tuples(
-                st.integers(0, 50), st.integers(0, 40), st.booleans()
-            ).map(lambda t: (t[0], t[0] + t[1], t[2])),
-            max_size=12,
-        ),
-    )
-    def test_access_run_matches_per_address(self, cap, wa, runs):
-        bulk = LRUCache(cap, write_allocate=wa)
-        ref = LRUCache(cap, write_allocate=wa)
-        for start, stop, w in runs:
-            ref_hits = sum(
-                1 for a in range(start, stop) if ref.access(a, w)
-            )
-            assert bulk.access_run(start, stop, w) == ref_hits
-            assert vars(bulk.stats) == vars(ref.stats)
-            assert list(bulk._lines.items()) == list(ref._lines.items())
-        assert bulk.flush() == ref.flush()
-
-    def test_run_longer_than_capacity(self):
-        """A run that alone overflows the cache evicts its own head."""
-        c = LRUCache(4)
-        c.access_run(0, 10, is_write=True)
-        assert c.stats.misses == 10
-        # 6 run members were inserted dirty then evicted
-        assert c.stats.writebacks == 6
-        assert list(c._lines) == [6, 7, 8, 9]
-
-    def test_empty_run_is_noop(self):
-        c = LRUCache(4)
-        assert c.access_run(5, 5) == 0
-        assert c.stats.accesses == 0
-
-    def test_replay_runs_matches_replay(self):
-        runs = [(0, 6, False), (2, 8, True), (0, 3, False)]
-        bulk = LRUCache(5)
-        bulk.replay_runs(runs)
-        ref = LRUCache(5)
-        ref.replay(
-            [(a, w) for s, e, w in runs for a in range(s, e)]
-        )
-        assert vars(bulk.stats) == vars(ref.stats)
-
-
 class TestStackDistance:
     def test_simple_trace(self):
         # trace: a b a  -> distance of second 'a' is 1 (only b in between)
@@ -176,18 +124,6 @@ class TestStackDistance:
     def test_accesses_count(self):
         an = StackDistanceAnalyzer().analyze([1, 2, 1, 2])
         assert an.accesses == 4
-
-    def test_analyze_runs_matches_flat_trace(self):
-        runs = [(0, 5), (3, 3), (2, 9), (0, 4)]
-        flat = [a for s, e in runs for a in range(s, e)]
-        bulk = StackDistanceAnalyzer().analyze_runs(runs)
-        ref = StackDistanceAnalyzer().analyze(flat)
-        assert bulk.distances == ref.distances
-        assert bulk.cold_misses == ref.cold_misses
-
-    def test_analyze_runs_empty(self):
-        an = StackDistanceAnalyzer().analyze_runs([(4, 4), (9, 9)])
-        assert an.accesses == 0
 
     def test_miss_curve_matches_scalar_misses(self):
         rng = random.Random(3)

@@ -157,26 +157,6 @@ class TestBlockRefAccess:
         assert machine.counters.words_read == 3
         assert arr.shape == (3, 1)
 
-    def test_store_charges_and_updates(self):
-        machine, a = make(6)
-        blk = a.block(0, 2, 0, 2)
-        blk.alloc()
-        blk.store(np.full((2, 2), 7.0))
-        assert machine.counters.words_written == 4
-        assert np.allclose(a.data[:2, :2], 7.0)
-
-    def test_store_without_residency_fails(self):
-        machine, a = make(6)
-        with pytest.raises(CapacityError):
-            a.block(0, 2, 0, 2).store(np.zeros((2, 2)))
-
-    def test_held_releases(self):
-        machine, a = make(6, M=10)
-        with a.block(0, 3, 0, 3).held() as arr:
-            assert arr.shape == (3, 3)
-            assert machine.resident.words == 9
-        assert machine.resident.is_empty()
-
     def test_release(self):
         machine, a = make(6, M=12)
         blk = a.block(0, 3, 0, 3)

@@ -21,6 +21,7 @@ from repro.sequential import (
     square_recursive,
     toledo,
 )
+from repro.util.fastpath import fastpath
 
 
 def run(algo, n, M, layout=None, **kw):
@@ -31,48 +32,70 @@ def run(algo, n, M, layout=None, **kw):
     return machine
 
 
-class TestNaiveExactCounts:
-    """§3.1.4 and §3.1.5, M > 2n, column-major storage: exact equalities."""
+#: n at and around powers of two, primes and odd sizes (§3.1.4–3.1.5).
+NAIVE_NS = [1, 2, 3, 5, 8, 17, 31, 32, 33, 49, 64, 65]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 32, 49])
-    def test_left_looking_words(self, n):
-        m = run(naive_left_looking, n, 4 * n)
+
+def _memory(n: int, regime: str) -> int:
+    """M at the two-column boundary (2n, 2n + 1) or roomy (4n)."""
+    return {"2n": 2 * n, "2n+1": 2 * n + 1, "4n": 4 * n}[regime]
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["plan", "live"])
+class TestNaiveExactCounts:
+    """§3.1.4 and §3.1.5, M >= 2n, column-major storage: exact
+    equalities, on the charge plan and on the live walk."""
+
+    @staticmethod
+    def _run(fast, algo, n, M, layout=None):
+        with fastpath(fast):
+            return run(algo, n, M, layout)
+
+    @pytest.mark.parametrize("regime", ["2n", "2n+1", "4n"])
+    @pytest.mark.parametrize("n", NAIVE_NS)
+    def test_left_looking_words(self, fast, n, regime):
+        m = self._run(fast, naive_left_looking, n, _memory(n, regime))
         assert 6 * m.words == n**3 + 6 * n**2 + 5 * n
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 32, 49])
-    def test_left_looking_messages(self, n):
-        m = run(naive_left_looking, n, 4 * n)
+    @pytest.mark.parametrize("regime", ["2n", "2n+1", "4n"])
+    @pytest.mark.parametrize("n", NAIVE_NS)
+    def test_left_looking_messages(self, fast, n, regime):
+        m = self._run(fast, naive_left_looking, n, _memory(n, regime))
         assert 2 * m.messages == n**2 + 3 * n
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 32, 49])
-    def test_right_looking_words(self, n):
-        m = run(naive_right_looking, n, 4 * n)
+    @pytest.mark.parametrize("regime", ["2n", "2n+1", "4n"])
+    @pytest.mark.parametrize("n", NAIVE_NS)
+    def test_right_looking_words(self, fast, n, regime):
+        m = self._run(fast, naive_right_looking, n, _memory(n, regime))
         assert 3 * m.words == n**3 + 3 * n**2 + 2 * n
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 32, 49])
-    def test_right_looking_messages(self, n):
-        m = run(naive_right_looking, n, 4 * n)
+    @pytest.mark.parametrize("regime", ["2n", "2n+1", "4n"])
+    @pytest.mark.parametrize("n", NAIVE_NS)
+    def test_right_looking_messages(self, fast, n, regime):
+        m = self._run(fast, naive_right_looking, n, _memory(n, regime))
         assert m.messages == n**2 + n
 
+    @pytest.mark.parametrize("regime", ["2n", "4n"])
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 32])
-    def test_up_looking_mirrors_left(self, n):
+    def test_up_looking_mirrors_left(self, fast, n, regime):
         """The row-wise twin has the left-looking word count, on
         row-major storage, with the same message count."""
-        m_up = run(naive_up_looking, n, 4 * n, layout=RowMajorLayout(n))
-        m_left = run(naive_left_looking, n, 4 * n)
+        M = _memory(n, regime)
+        m_up = self._run(fast, naive_up_looking, n, M, RowMajorLayout(n))
+        m_left = self._run(fast, naive_left_looking, n, M)
         assert m_up.words == m_left.words
         assert m_up.messages == m_left.messages
 
-    def test_left_reads_vs_writes(self):
+    def test_left_reads_vs_writes(self, fast):
         # left-looking writes each column exactly once
         n = 16
-        m = run(naive_left_looking, n, 4 * n)
+        m = self._run(fast, naive_left_looking, n, 4 * n)
         assert m.counters.words_written == n * (n + 1) // 2
 
-    def test_right_writes_more(self):
+    def test_right_writes_more(self, fast):
         # right-looking rewrites trailing columns every iteration
         n = 16
-        m = run(naive_right_looking, n, 4 * n)
+        m = self._run(fast, naive_right_looking, n, 4 * n)
         assert m.counters.words_written > n * (n + 1) // 2
 
 

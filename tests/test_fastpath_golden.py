@@ -1,25 +1,29 @@
 """Golden count-equality: batched fast path vs element-wise reference.
 
-The batched charging APIs (:meth:`Machine.charge_intervals` and
-friends) and the count-neutral fast paths behind
-:mod:`repro.util.fastpath` exist purely to make the simulator faster —
-the modeled machine must be unable to tell the difference.  These
-tests run every registry algorithm down both paths and assert the
-complete observable state agrees:
+The charge plans (:mod:`repro.sequential.charge_plan`) and the
+count-neutral fast paths behind :mod:`repro.util.fastpath` exist
+purely to make the simulator faster — the modeled machine must be
+unable to tell the difference.  These tests run every registry
+algorithm down both paths and assert the complete observable state
+agrees:
 
 * every counter (words and messages, split by direction, flops, peak
   resident set);
 * the span-profile tree (phase attribution), up to wall-clock stamps;
-* the recorded trace stream, after :class:`BatchEvent` expansion;
+* the recorded trace stream;
 * the realized fault schedule under a deterministic
   :class:`~repro.faults.FaultPlan`;
+* the charged interval runs of a planned run against the live walk
+  (:class:`TestChargePlanGolden`);
 * the parallel clocks and critical-path counts (PxPOTRF, SUMMA).
 
-Numerics only need ``allclose``: the batched path may reorder float
-accumulations (e.g. one GEMV for a column update instead of k axpys).
+Every sequential algorithm is one walk whose numerics do not depend
+on the path, so factors agree bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -47,7 +51,7 @@ CONFIGS = [
 ]
 
 #: Fault-schedule cases: every algorithm in the whole-column and the
-#: segmented regime, whose batched bodies differ.  The whole-column
+#: segmented regime, whose walks differ.  The whole-column
 #: cases keep their historical ids (the bare algorithm name).
 FAULT_CASES = [
     pytest.param(
@@ -58,16 +62,16 @@ FAULT_CASES = [
     for algorithm in available_algorithms()
 ]
 
-#: Algorithms whose observed runs make batched charges.  An observed
-#: ``toledo`` or ``square-recursive`` run takes the element-wise scope
-#: recursion on both paths, so ``test_paths_agree`` compares one path
-#: for them; their batched path is the charge plan, which only
-#: unobserved runs take, and ``TestChargePlanGolden`` checks it live.
-BATCHING_ALGOS = {"naive-left", "naive-right", "naive-up", "lapack",
-                  "lapack-right"}
+#: Layouts the plan is held to the live walk on.
+PLAN_LAYOUTS = ("column-major", "row-major", "morton", "blocked",
+                "recursive-packed-hybrid")
 
-#: Algorithms whose unobserved batched runs take a charge plan.
-PLAN_ALGOS = ("toledo", "square-recursive")
+
+def _layout(name: str, n: int, M: int):
+    """``name`` at dimension ``n``; blocked tiles are the b of 3b² <= M."""
+    if name == "blocked":
+        return make_layout(name, n, block=math.isqrt(M // 3))
+    return make_layout(name, n)
 
 
 @pytest.fixture(autouse=True)
@@ -126,7 +130,7 @@ class TestSequentialGolden:
     def test_paths_agree(self, algorithm, n, M):
         if algorithm == "naive-up" and M < 2 * n:
             pytest.skip("up-looking is whole-row only (M >= 2n)")
-        L_f, counts_f, stream_f, prof_f, _, machine = _run(
+        L_f, counts_f, stream_f, prof_f, _, _ = _run(
             algorithm, n, M, fast=True
         )
         L_s, counts_s, stream_s, prof_s, _, _ = _run(
@@ -135,9 +139,7 @@ class TestSequentialGolden:
         assert counts_f == counts_s
         assert stream_f == stream_s
         assert prof_f == prof_s
-        assert np.allclose(L_f, L_s, atol=1e-8)
-        if algorithm in BATCHING_ALGOS:
-            assert machine.batch_hits > 0
+        assert L_f.tobytes() == L_s.tobytes()
 
     @pytest.mark.parametrize("algorithm,n,M", FAULT_CASES)
     def test_fault_schedules_identical(self, algorithm, n, M):
@@ -153,28 +155,17 @@ class TestSequentialGolden:
         assert fp_f == fp_s
         assert counts_f == counts_s
 
-    def test_naive_right_evicts_the_multiplier_with_its_first_segment(self):
-        """At M=41 a trailing column spans two full update segments;
-        a_kj leaves fast memory with the first one, so the second one
-        must not be counted beside it (peak 40, not 41)."""
-        _, counts_f, stream_f, _, _, _ = _run("naive-right", 48, 41, fast=True)
-        _, counts_s, stream_s, _, _, _ = _run("naive-right", 48, 41, fast=False)
-        assert counts_s["peak_resident"] == 40
-        assert counts_f == counts_s
-        assert stream_f == stream_s
-
 
 class TestChargePlanGolden:
-    """The charge plan against the element-wise scope recursion, live.
+    """The charge plan against the live walk, run for run.
 
-    A plain batched machine (nothing observes it) runs ``toledo`` and
-    ``square-recursive`` as one planned charge; an element-wise
-    machine runs the scope recursion.  A transfer-stream tap
-    (:mod:`tests.transfer_stream`) on each records every charged run
-    and a :class:`ScheduleRecorder` captures the counts: the two
-    recordings must agree run for run (starts, stops, kinds, masks),
-    with equal totals, peaks and flops, and the factors must be
-    bit-identical.
+    A plain batched machine (nothing observes it) runs each sequential
+    algorithm as one planned charge; an element-wise machine runs the
+    same walk live.  A transfer-stream tap (:mod:`tests.transfer_stream`)
+    on each records every charged run and a :class:`ScheduleRecorder`
+    captures the counts: the two recordings must agree run for run
+    (starts, stops, kinds, masks), with equal totals, peaks and flops,
+    and the factors must be bit-identical.
     """
 
     @staticmethod
@@ -188,7 +179,7 @@ class TestChargePlanGolden:
         try:
             machine = SequentialMachine(M)
             A = TrackedMatrix(
-                random_spd(n, seed=3), make_layout(layout, n), machine
+                random_spd(n, seed=3), _layout(layout, n, M), machine
             )
             recorder = ScheduleRecorder(machine)
             stream = tap(machine)
@@ -205,10 +196,7 @@ class TestChargePlanGolden:
         )
         return np.asarray(L), capture, machine.batch_hits
 
-    @pytest.mark.parametrize("layout", ["morton", "recursive-packed-hybrid"])
-    @pytest.mark.parametrize("n,M", CONFIGS)
-    @pytest.mark.parametrize("algorithm", PLAN_ALGOS)
-    def test_plan_matches_reference(self, algorithm, n, M, layout):
+    def _compare(self, algorithm, layout, n, M):
         L_p, plan, hits_p = self._captured(algorithm, layout, n, M, fast=True)
         L_r, ref, hits_r = self._captured(algorithm, layout, n, M, fast=False)
         assert (hits_p, hits_r) == (1, 0)  # one charge for the whole plan
@@ -218,6 +206,34 @@ class TestChargePlanGolden:
         assert plan.peaks == ref.peaks
         assert plan.flops == ref.flops
         assert L_p.tobytes() == L_r.tobytes()
+        return ref
+
+    @pytest.mark.parametrize("layout", PLAN_LAYOUTS)
+    @pytest.mark.parametrize("n,M", CONFIGS)
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    def test_plan_matches_reference(self, algorithm, n, M, layout):
+        if algorithm == "naive-up" and M < 2 * n:
+            pytest.skip("up-looking is whole-row only (M >= 2n)")
+        self._compare(algorithm, layout, n, M)
+
+    def test_naive_left_multiplier_inside_the_pivot_segment(self):
+        """In the pivot segment a_jk lies inside segment k, so it adds
+        no word there (peak 50; a word sum reads 51)."""
+        ref = self._compare("naive-left", "column-major", 48, 52)
+        assert ref.peaks == (50,)
+
+    def test_naive_right_evicts_the_multiplier_with_its_first_segment(self):
+        """At M=41 a trailing column spans two full update segments;
+        a_kj leaves fast memory with the first one, so the second one
+        must not be counted beside it (peak 40; a word sum reads 41)."""
+        ref = self._compare("naive-right", "column-major", 48, 41)
+        assert ref.peaks == (40,)
+
+    def test_lapack_right_evicts_the_right_operand_through_its_alias(self):
+        """At I == K the left operand L(K,J) is the right operand, so
+        releasing it evicts both (peak 72; a word sum reads 108)."""
+        ref = self._compare("lapack-right", "column-major", 48, 112)
+        assert ref.peaks == (72,)
 
 
 class TestCompiledReplayGolden:

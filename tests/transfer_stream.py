@@ -4,7 +4,7 @@ A compiled schedule keeps only a run's counts.  Tests that pin *which*
 runs a run charged, in what order and at which levels — the
 recursive-runs golden and the charge-plan-versus-scope equality —
 record them here: :func:`tap` wraps one machine instance's ``read``,
-``_charge_write``, ``charge_intervals`` and ``scope``, and the
+``write``, ``charge_intervals`` and ``scope``, and the
 function it returns gives the stream so far as four arrays, one entry
 per charged interval run:
 
@@ -16,12 +16,10 @@ per charged interval run:
 Explicit transfers are write-through, so they carry every level; an
 ideal-cache scope charges its read set on entry and its write set on
 exit at the levels its footprint newly fits.  A read that faults is
-recorded twice, since its retry is charged again.  A batch is recorded
-whole only when no fault injector is attached; with one, the machine
-issues the batch set by set through the wrapped ``read`` and
-``_charge_write``.  Only bound methods are replaced: the machine stays
-unobserved, so the recursions still take their charge plans under the
-tap.
+recorded twice, since its retry is charged again.  A batch (one
+planned run; a fault-armed machine never takes one) is recorded whole.
+Only bound methods are replaced: the machine stays unobserved, so the
+algorithms still take their charge plans under the tap.
 """
 
 from contextlib import contextmanager
@@ -46,7 +44,7 @@ def tap(machine):
         record(pairs[:, 0], pairs[:, 1], np.full(len(pairs), is_write), mask)
 
     read = machine.read
-    charge_write = machine._charge_write
+    write = machine.write
     charge_intervals = machine.charge_intervals
     scope = machine.scope
 
@@ -58,15 +56,14 @@ def tap(machine):
         if faults and faults.stats.read_faults > before:
             record_set(ivs, False)
 
-    def tapped_charge_write(ivs):
-        charge_write(ivs)
+    def tapped_write(ivs):
+        write(ivs)
         record_set(ivs, True)
 
     def tapped_charge_intervals(batch, **kwargs):
         charge_intervals(batch, **kwargs)
-        if machine.faults is None:
-            kinds = np.repeat(batch.is_write, np.diff(batch.offsets))
-            record(batch.starts.copy(), batch.stops.copy(), kinds, everywhere)
+        kinds = np.repeat(batch.is_write, np.diff(batch.offsets))
+        record(batch.starts.copy(), batch.stops.copy(), kinds, everywhere)
 
     @contextmanager
     def tapped_scope(read_ivs, write_ivs=None, **kwargs):
@@ -82,7 +79,7 @@ def tap(machine):
             record_set(write_ivs, True, mask)
 
     machine.read = tapped_read
-    machine._charge_write = tapped_charge_write
+    machine.write = tapped_write
     machine.charge_intervals = tapped_charge_intervals
     machine.scope = tapped_scope
 

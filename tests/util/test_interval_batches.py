@@ -34,6 +34,16 @@ def _restore_fastpath():
     set_fastpath(True)
 
 
+def _batch(sets, is_write=False) -> RunBatch:
+    return RunBatch.from_runs(*stack_runs(sets), is_write=is_write)
+
+
+def _transfers(batch: RunBatch) -> list:
+    """``(IntervalSet, is_write)`` per transfer, in order."""
+    runs = (batch.starts, batch.stops, batch.offsets)
+    return list(zip(_unstack(runs), batch.is_write.tolist()))
+
+
 def brute_strided(rows, col_range, ld):
     """Element-wise reference for a strided panel footprint."""
     r0, r1 = rows
@@ -88,38 +98,35 @@ class TestFromStrided:
 
 class TestRunBatch:
     def test_empty_sets_dropped(self):
-        batch = RunBatch.from_sets(
+        batch = _batch(
             [EMPTY, IntervalSet([(0, 3)]), EMPTY], is_write=[True, False, True]
         )
         assert batch.nsets == 1
-        [(ivs, w)] = list(batch.items())
+        [(ivs, w)] = _transfers(batch)
         assert ivs == IntervalSet([(0, 3)]) and w is False
 
     def test_empty_batch(self):
-        batch = RunBatch.from_sets([])
+        batch = _batch([])
         assert batch.nsets == 0
         assert batch.words == 0
-        assert batch.max_set_words() == 0
         assert batch.direction_words() == (0, 0)
         assert batch.direction_messages() == (0, 0)
-        assert list(batch.items()) == []
+        assert _transfers(batch) == []
 
-    def test_items_roundtrip_in_order(self):
+    def test_transfers_round_trip_in_order(self):
         sets = [
             IntervalSet([(0, 4), (10, 12)]),
             IntervalSet([(4, 10)]),
             IntervalSet([(20, 21)]),
         ]
         flags = [False, True, False]
-        batch = RunBatch.from_sets(sets, is_write=flags)
-        assert [(s, w) for s, w in batch.items()] == list(zip(sets, flags))
+        batch = _batch(sets, is_write=flags)
+        assert _transfers(batch) == list(zip(sets, flags))
 
     def test_no_cross_set_merging(self):
         """Adjacent runs in *different* transfers stay separate — each
         set is one transfer, exactly like the element-wise path."""
-        batch = RunBatch.from_sets(
-            [IntervalSet([(0, 4)]), IntervalSet([(4, 8)])]
-        )
+        batch = _batch([IntervalSet([(0, 4)]), IntervalSet([(4, 8)])])
         assert batch.nsets == 2
         assert batch.direction_messages() == (2, 0)
 
@@ -130,7 +137,7 @@ class TestRunBatch:
             IntervalSet([(30, 31)]),
         ]
         flags = [False, True, True]
-        batch = RunBatch.from_sets(sets, is_write=flags)
+        batch = _batch(sets, is_write=flags)
         rw = sum(s.words for s, f in zip(sets, flags) if not f)
         ww = sum(s.words for s, f in zip(sets, flags) if f)
         assert batch.direction_words() == (rw, ww)
@@ -140,29 +147,6 @@ class TestRunBatch:
             )
             wm = sum(s.messages(cap) for s, f in zip(sets, flags) if f)
             assert batch.direction_messages(cap) == (rm, wm)
-
-    def test_with_writes_forces_flags(self):
-        batch = RunBatch.from_sets(
-            [IntervalSet([(0, 2)]), IntervalSet([(5, 6)])],
-            is_write=[False, True],
-        )
-        assert all(w for _s, w in batch.with_writes(True).items())
-        assert not any(w for _s, w in batch.with_writes(False).items())
-
-    @given(st.integers(1, 12), st.integers(0, 5), st.integers(0, 12))
-    def test_from_strided_matches_per_column_sets(self, ld, c0, width):
-        r0, r1 = 1, max(1, ld - 1)
-        cols = (c0, c0 + width)
-        batch = RunBatch.from_strided((r0, r1), cols, ld, base=100)
-        per_col = [
-            IntervalSet([(100 + r0 + c * ld, 100 + r1 + c * ld)])
-            for c in range(*cols)
-        ]
-        expected = RunBatch.from_sets(per_col)
-        assert [s for s, _ in batch.items()] == [
-            s for s, _ in expected.items()
-        ]
-        assert np.array_equal(batch.set_words(), expected.set_words())
 
 
 class TestMergeFastPath:
@@ -256,7 +240,7 @@ class TestStackedRuns:
     def test_from_runs_drops_empty_sets_and_their_flags(self):
         sets = [EMPTY, IntervalSet([(0, 3)]), EMPTY, IntervalSet([(5, 6)])]
         batch = RunBatch.from_runs(*stack_runs(sets), is_write=[1, 0, 1, 1])
-        assert [(s.intervals, w) for s, w in batch.items()] == [
+        assert [(s.intervals, w) for s, w in _transfers(batch)] == [
             (((0, 3),), False),
             (((5, 6),), True),
         ]
