@@ -21,9 +21,8 @@ import os
 
 # One BLAS/OpenMP thread per process, set before anything imports numpy
 # (as perfbench/harness.py does): OpenBLAS reads these once, when it
-# loads.  Unpinned, its worker threads contend with the timed
-# interpreter and intermittently stall the wall-clock gates of
-# bench_wallclock.py.
+# loads.  Unpinned, its worker threads contend with the timed work and
+# can stall the timed gates (bench_cluster.py, bench_durability.py).
 for _var in (
     "OPENBLAS_NUM_THREADS",
     "OMP_NUM_THREADS",
@@ -45,7 +44,7 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         action="store",
         default=None,
         metavar="DIR",
-        help="directory for bench JSON artifacts (e.g. BENCH_4.json); "
+        help="directory for bench JSON artifacts (e.g. BENCH_5.json); "
         "defaults to the repository root",
     )
 

@@ -634,10 +634,6 @@ def main(argv: list[str] | None = None) -> int:
         return trace_main(argv[1:])
     if argv and argv[0] == "chaos":
         return chaos_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.analysis.wallclock import bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "serve":
         from repro.serving.cli import serve_main
 

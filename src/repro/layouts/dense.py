@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.layouts.base import Layout, LayoutError
-from repro.util.fastpath import fastpath_enabled
-from repro.util.intervals import IntervalSet, merge_intervals
+from repro.util.intervals import IntervalSet
 
 
 class ColumnMajorLayout(Layout):
@@ -39,16 +38,9 @@ class ColumnMajorLayout(Layout):
         if r0 == 0 and r1 == self.n:
             # full columns are one contiguous run
             return IntervalSet.single(c0 * self.n, c1 * self.n)
-        if fastpath_enabled():
-            # partial-height columns never touch: the per-column runs
-            # are already sorted, disjoint and non-adjacent
-            return IntervalSet.from_strided((r0, r1), (c0, c1), self.n)
-        n = self.n
-        return IntervalSet(
-            merge_intervals(
-                (r0 + c * n, r1 + c * n) for c in range(c0, c1)
-            )
-        )
+        # partial-height columns never touch: the per-column runs are
+        # already sorted, disjoint and non-adjacent
+        return IntervalSet.from_strided((r0, r1), (c0, c1), self.n)
 
     def rect_runs(self, rects):
         """Closed form: one run per column, or one for a full-height
@@ -98,12 +90,5 @@ class RowMajorLayout(Layout):
             return IntervalSet()
         if c0 == 0 and c1 == self.n:
             return IntervalSet.single(r0 * self.n, r1 * self.n)
-        if fastpath_enabled():
-            # transposed geometry: rows are the strided "columns"
-            return IntervalSet.from_strided((c0, c1), (r0, r1), self.n)
-        n = self.n
-        return IntervalSet(
-            merge_intervals(
-                (r * n + c0, r * n + c1) for r in range(r0, r1)
-            )
-        )
+        # transposed geometry: rows are the strided "columns"
+        return IntervalSet.from_strided((c0, c1), (r0, r1), self.n)

@@ -49,7 +49,6 @@ from repro.faults.plan import FaultPlan
 from repro.machine.counters import CommCounters, MemoryLevel
 from repro.machine.tracing import MachineTrace, ReadEvent, ScopeEvent, WriteEvent
 from repro.observability.spans import NULL_PROFILER
-from repro.util.fastpath import fastpath_enabled
 from repro.util.intervals import IntervalSet, RunBatch
 from repro.util.validation import check_positive_int
 
@@ -105,16 +104,14 @@ class HierarchicalMachine:
         overflow marker (see :class:`~repro.machine.tracing.MachineTrace`).
         ``None`` (default) keeps the historical unbounded behaviour.
 
-    Whether an unobserved run may be charged as one planned batch
+    A run on one fast level that nothing observes (:meth:`unobserved`)
+    and no fault injector arms may be charged as one planned batch
     (:meth:`charge_intervals`, called by
     :class:`~repro.sequential.charge_plan.ChargePlan`) instead of one
-    ``read``/``write``/``release`` call or scope per transfer is fixed
-    when the machine is built, from
-    :func:`~repro.util.fastpath.fastpath_enabled`, and kept in
-    :attr:`batched`; :func:`~repro.sequential.charge_plan.plan_eligible`
-    reads it per run.  The two paths are count-identical — the golden
-    equality tests assert it — so this is purely a simulator-speed
-    switch.
+    ``read``/``write``/``release`` call or scope per transfer;
+    attaching any observer makes the run charge live.  The two are
+    count-identical — the golden equality tests assert it — so what
+    observes the machine chooses the walk, never the counts.
 
     The schedule JIT (:mod:`repro.schedule`) needs no hook here: it
     reads a captured run's totals off the counters afterwards and
@@ -156,8 +153,6 @@ class HierarchicalMachine:
         #: or ``None`` for the unmetered machine.  The guard only *reads*
         #: the counters, so counts are bit-identical either way.
         self.guard = None
-        #: Whether a run nothing observes may take a charge plan.
-        self.batched: bool = fastpath_enabled()
         #: How many planned runs were charged as one batch.
         self.batch_hits: int = 0
         #: Live :class:`~repro.abft.ChecksumGuardian` protecting the
@@ -402,25 +397,18 @@ class HierarchicalMachine:
         self,
         read_ivs: IntervalSet,
         write_ivs: IntervalSet | None = None,
-        *,
-        write_covered: bool = False,
     ) -> Iterator[_Scope]:
         """Declare a cache-oblivious recursive subproblem.
 
         Parameters
         ----------
         read_ivs:
-            Addresses the subproblem consumes (its whole input
-            footprint, including any accumulated-into output).
+            Addresses the subproblem consumes: its whole footprint,
+            including any accumulated-into output.
         write_ivs:
-            Addresses the subproblem produces; defaults to none.
-        write_covered:
-            Caller's promise that ``write_ivs`` is a subset of
-            ``read_ivs`` (true for every accumulate-into-output kernel,
-            whose read footprint includes the output).  Skips the
-            ``read | write`` union, which would be a no-op merge.
-            Honored only while the count-neutral fast path is enabled,
-            so ``REPRO_SLOW_PATH=1`` still exercises the full union.
+            Addresses the subproblem produces, a subset of ``read_ivs``
+            (every recursion node accumulates into an output it also
+            reads); defaults to none.
 
         For each level whose capacity first covers the footprint here
         (ideal-cache frontier), ``read_ivs`` is charged as a read now
@@ -428,14 +416,7 @@ class HierarchicalMachine:
         handle's ``fits`` flag reports whether the footprint fits the
         fastest level — the signal to stop recursing and compute.
         """
-        footprint = (
-            read_ivs
-            if write_ivs is None
-            or write_ivs is read_ivs
-            or (write_covered and fastpath_enabled())
-            else (read_ivs | write_ivs)
-        )
-        fwords = footprint.words
+        fwords = read_ivs.words
         self._scope_depth += 1
         handle = _Scope(
             fits=fwords <= self.fast.capacity, depth=self._scope_depth
@@ -450,7 +431,7 @@ class HierarchicalMachine:
                 handle._write_levels.append(level)
         if self.trace is not None:
             self.trace.append(
-                ScopeEvent(footprint, fitted=[l.name for l in handle._write_levels])
+                ScopeEvent(read_ivs, fitted=[l.name for l in handle._write_levels])
             )
         if self.guard is not None:
             self.guard.check_machine(self)

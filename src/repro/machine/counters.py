@@ -62,8 +62,8 @@ class CommCounters:
         """Charge a whole transfer batch's totals in one call.
 
         Equivalent to one :meth:`add_read` plus one :meth:`add_write`;
-        exists so the batched fast path charges a batch of any size
-        with O(1) counter work.
+        exists so a charge plan's batch of any size costs O(1)
+        counter work.
         """
         if min(read_words, read_messages, write_words, write_messages) < 0:
             raise ValueError("counter increments must be non-negative")

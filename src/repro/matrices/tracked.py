@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.layouts.base import Layout
 from repro.machine.core import HierarchicalMachine
-from repro.util.fastpath import fastpath_enabled
 from repro.util.intervals import IntervalSet, stack_runs, union_all
 from repro.util.validation import check_square
 
@@ -98,12 +97,10 @@ class TrackedMatrix:
     def intervals(self, r0: int, r1: int, c0: int, c1: int) -> IntervalSet:
         """Global (base-shifted) address runs of a rectangle.
 
-        Memoized per rectangle on the fast path: the recursive
-        algorithms ask for the same block footprints at every node of
-        their recursion, and the sets are immutable.
+        Memoized per rectangle: the recursive algorithms ask for the
+        same block footprints at every node of their recursion, and the
+        sets are immutable.
         """
-        if not fastpath_enabled():
-            return self.layout.intervals(r0, r1, c0, c1).shift(self.base)
         key = (r0, r1, c0, c1)
         cache = self._interval_cache
         ivs = cache.get(key)
@@ -128,7 +125,7 @@ class TrackedMatrix:
         whole batch at once; on the others each rectangle comes from the
         :meth:`intervals` memo.
         """
-        if self.layout.vectorized_runs and fastpath_enabled():
+        if self.layout.vectorized_runs:
             starts, stops, offsets = self.layout.rect_runs(rects)
             return starts + self.base, stops + self.base, offsets
         return stack_runs([self.intervals(*rect) for rect in rects])

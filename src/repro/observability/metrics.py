@@ -397,14 +397,14 @@ def publish_perf(
     batch_hits: int = 0,
     registry: "MetricsRegistry | None" = None,
 ) -> None:
-    """Publish one run's simulator performance: wall time and fast-path use.
+    """Publish one run's simulator performance: wall time and batch use.
 
     ``wall_seconds`` is the wall-clock time the simulation itself took
     (distinct from ``repro_point_wall_seconds``, which times whole
     engine points including setup and verification);  ``batch_hits``
-    is the machine's count of interval batches charged through the
-    O(#intervals) fast path (:attr:`Machine.batch_hits`).  Called once
-    per run, like :func:`publish_run`.
+    is the machine's count of planned runs charged as one interval
+    batch (:attr:`HierarchicalMachine.batch_hits`).  Called once per
+    run, like :func:`publish_run`.
     """
     reg = registry if registry is not None else METRICS
     labels = {"kind": kind, "algorithm": algorithm}

@@ -57,7 +57,6 @@ from repro.parallel.network import Network
 from repro.results import Measurement
 from repro.sequential.flops import cholesky_flops, gemm_flops, syrk_flops, trsm_flops
 from repro.sequential.kernels import dense_cholesky, solve_lower_transposed_right
-from repro.util.fastpath import fastpath_enabled
 from repro.util.validation import (
     ValidationError,
     check_finite,
@@ -436,10 +435,9 @@ def _pxpotrf_once(
 
             # -- 5. trailing updates with received panel blocks ---------------
             # No sends interleave with the compute charges below, so the
-            # per-rank flop totals can be applied in one ``compute`` call
+            # per-rank flop totals are applied in one ``compute`` call
             # per rank: each call only advances that rank's own clock
-            # additively, making the batched charging clock-identical.
-            batch_compute = fastpath_enabled()
+            # additively, as one call per block would.
             flops_by_rank: "defaultdict[int, int]" = defaultdict(int)
             with prof.span("update"):
                 for l in range(J + 1, nb):
@@ -458,16 +456,11 @@ def _pxpotrf_once(
                         dirty[rank].add(("A", k, l))
                         dk, dl = dist.block_dim(k), dist.block_dim(l)
                         if k == l:
-                            flops = syrk_flops(dk, w)
+                            flops_by_rank[rank] += syrk_flops(dk, w)
                         else:
-                            flops = gemm_flops(dk, w, dl)
-                        if batch_compute:
-                            flops_by_rank[rank] += flops
-                        else:
-                            network.compute(rank, flops)
-                if batch_compute:
-                    for rank, flops in flops_by_rank.items():
-                        network.compute(rank, flops)
+                            flops_by_rank[rank] += gemm_flops(dk, w, dl)
+                for rank, flops in flops_by_rank.items():
+                    network.compute(rank, flops)
 
             # -- 6. per-round buddy checkpoint of every modified block ------
             if ckpt_on:

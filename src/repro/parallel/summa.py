@@ -34,7 +34,6 @@ from repro.parallel.grid import ProcessorGrid
 from repro.parallel.network import Network
 from repro.parallel.pxpotrf import _checkpoint, _checkpointing, _recover
 from repro.sequential.flops import gemm_flops
-from repro.util.fastpath import fastpath_enabled
 from repro.util.imath import ceil_div
 from repro.util.validation import (
     ValidationError,
@@ -214,8 +213,7 @@ def _summa_once(
                     )
             # local accumulation; no sends interleave with the compute
             # charges, so per-rank flop totals applied in one ``compute``
-            # call per rank advance the clocks identically
-            batch_compute = fastpath_enabled()
+            # call per rank advance the clocks as one call per block would
             flops_by_rank: "defaultdict[int, int]" = defaultdict(int)
             with prof.span("update"):
                 for bi in range(nb):
@@ -226,16 +224,11 @@ def _summa_once(
                         ablk = channel.open(rank, ("Arow", K, r), bi)
                         bblk = channel.open(rank, ("Bcol", K, c), bj)
                         proc.store[("C", bi, bj)] += ablk @ bblk
-                        flops = gemm_flops(
+                        flops_by_rank[rank] += gemm_flops(
                             ablk.shape[0], ablk.shape[1], bblk.shape[1]
                         )
-                        if batch_compute:
-                            flops_by_rank[rank] += flops
-                        else:
-                            network.compute(rank, flops)
-                if batch_compute:
-                    for rank, flops in flops_by_rank.items():
-                        network.compute(rank, flops)
+                for rank, flops in flops_by_rank.items():
+                    network.compute(rank, flops)
             # per-step buddy checkpoint: only the accumulators changed
             if ckpt_on:
                 with prof.span("checkpoint", K=K):

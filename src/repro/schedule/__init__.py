@@ -16,19 +16,17 @@ disk tiers, keyed by shape and code version, one line of JSON per
 schedule) → **replay**
 (:meth:`~repro.machine.core.HierarchicalMachine.replay_schedule`).
 
-Compilation is conservative: it engages only for a *pristine* batched
-machine with no trace, no span recorder, no budget guard and zero
-counters — any observer that sees per-event state falls back to the
-ordinary interpreted run, whose counts are pinned against the
-element-wise reference by the golden suite.  ``REPRO_NO_COMPILE=1``
-(or :func:`set_compile`) switches the whole layer off;
-``REPRO_SLOW_PATH=1`` implies off, since capture requires the batched
-fast path.
+Compilation is conservative: it engages only for a *pristine* machine
+that nothing observes — no trace, span recorder, budget guard or ABFT
+guardian, and zero counters.  A machine any observer watches runs the
+ordinary interpreted walk live, the element-wise reference the golden
+suite pins the plans and replays to.  :func:`compile_disabled` turns
+the layer off for a block, so every run in it is interpreted whatever
+the cache holds (count references and tests use it).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator
@@ -49,7 +47,6 @@ from repro.schedule.compiled import (
     TransferSchedule,
     _pristine,
 )
-from repro.util.fastpath import fastpath_enabled
 
 __all__ = [
     "ScheduleCache",
@@ -63,34 +60,26 @@ __all__ = [
     "fault_plan_digest",
     "last_run_mode",
     "schedule_key",
-    "set_compile",
     "set_default_cache",
 ]
 
-_compile_enabled: bool = os.environ.get("REPRO_NO_COMPILE", "") != "1"
+_compile_enabled: bool = True
 
 
 def compile_enabled() -> bool:
     """Whether schedule compilation is currently active."""
-    return _compile_enabled and fastpath_enabled()
-
-
-def set_compile(enabled: bool) -> bool:
-    """Set the compilation toggle; returns the previous raw value."""
-    global _compile_enabled
-    prev = _compile_enabled
-    _compile_enabled = bool(enabled)
-    return prev
+    return _compile_enabled
 
 
 @contextmanager
 def compile_disabled() -> Iterator[None]:
     """Run a block with schedule compilation forced off (ablation)."""
-    prev = set_compile(False)
+    global _compile_enabled
+    prev, _compile_enabled = _compile_enabled, False
     try:
         yield
     finally:
-        set_compile(prev)
+        _compile_enabled = prev
 
 
 class _RunMode(threading.local):
@@ -121,8 +110,8 @@ def last_run_mode() -> str:
 def _machine_eligible(machine) -> bool:
     """Can this machine's next run be captured or replayed?
 
-    Requires the batched fast path plus a machine no observer is
-    watching (:meth:`~repro.machine.core.HierarchicalMachine.unobserved`:
+    Requires a machine no observer is watching
+    (:meth:`~repro.machine.core.HierarchicalMachine.unobserved`:
     traces, span profilers, budget guards and ABFT guardians all see
     per-event state a bulk replay cannot reproduce, and an armed
     guardian must observe every boundary live to catch an injected
@@ -131,8 +120,7 @@ def _machine_eligible(machine) -> bool:
     only the speedup).
     """
     return (
-        machine.batched
-        and machine.unobserved()
+        machine.unobserved()
         and machine._scope_depth == 0
         and machine.resident.is_empty()
         and _pristine(machine)
@@ -179,9 +167,10 @@ class _CompiledSession:
 
         Both compiled modes return this factor — a capturing run and a
         later replay of the same input are *bitwise* identical, so
-        which mode executed is numerically unobservable (interpreted
-        vs compiled stays ``allclose``, as between the two interpreted
-        paths).
+        which mode executed is numerically unobservable.  Interpreted
+        vs compiled stays ``allclose`` (the interpreted walk factors
+        block by block); the planned and the live interpreted walks
+        are bit-identical to each other.
         """
         from repro.sequential.kernels import dense_cholesky
 

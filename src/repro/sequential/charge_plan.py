@@ -37,7 +37,9 @@ The object takes one of two paths:
 The numerics run inside the walk on both paths, so the factors are
 bit-identical, and counters, peaks, flops and the charged interval
 runs are the same whichever path charged them.  :func:`charging`
-picks the path, by :func:`plan_eligible` alone.
+picks the path by :func:`plan_eligible`, from what observes the
+machine: tests reach the live reference as the program does, by
+attaching an observer.
 """
 
 from __future__ import annotations
@@ -58,13 +60,14 @@ def plan_eligible(machine) -> bool:
     """Whether ``machine``'s next run may take a charge plan.
 
     A plan charges write-through at one level and skips per-transfer
-    events, so it needs a batched single-level machine that nothing
-    observes, with no fault injector (read faults number every
-    transfer), no enclosing scope and nothing resident.
+    events, so it needs a single-level machine that nothing observes,
+    with no fault injector (read faults number every transfer), no
+    enclosing scope and nothing resident.  Attaching an observer
+    (:func:`repro.observability.observe`, a trace, a budget guard or
+    an ABFT guardian) is how a run asks for the live walk.
     """
     return (
-        machine.batched
-        and machine.unobserved()
+        machine.unobserved()
         and machine.faults is None
         and len(machine.levels) == 1
         and machine._scope_depth == 0
@@ -96,7 +99,7 @@ class ScopeCharging:
         of them); yields whether its footprint fits the fastest level."""
         machine = self.machine
         with machine.profiler.span(name), machine.scope(
-            footprint(reads), out.intervals, write_covered=True
+            footprint(reads), out.intervals
         ) as sc:
             yield sc.fits
 

@@ -21,8 +21,6 @@ from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from repro.util.fastpath import fastpath_enabled
-
 Interval = Tuple[int, int]
 
 #: Run count past which the NumPy merge beats the pure-Python one.
@@ -66,7 +64,7 @@ def merge_intervals(raw: Iterable[Interval]) -> Tuple[Interval, ...]:
         Sorted, disjoint, non-adjacent, non-empty intervals.
     """
     pairs = raw if isinstance(raw, list) else list(raw)
-    if len(pairs) >= _NP_MERGE_MIN and fastpath_enabled():
+    if len(pairs) >= _NP_MERGE_MIN:
         return _merge_intervals_np(pairs)
     cleaned = sorted((int(a), int(b)) for a, b in pairs if b > a)
     if not cleaned:
@@ -334,14 +332,12 @@ def union_all(sets: Sequence[IntervalSet]) -> IntervalSet:
     raw: list[Interval] = []
     for s in sets:
         raw.extend(s.intervals)
-    if fastpath_enabled():
-        # every input run is normalized already: skip the per-pair
-        # cleaning of the general merge
-        if len(raw) >= _NP_MERGE_MIN:
-            return IntervalSet._from_normalized(_merge_intervals_np(raw))
-        raw.sort()
-        return IntervalSet._from_normalized(_merge_sorted_runs(raw))
-    return IntervalSet(raw)
+    # every input run is normalized already: skip the per-pair
+    # cleaning of the general merge
+    if len(raw) >= _NP_MERGE_MIN:
+        return IntervalSet._from_normalized(_merge_intervals_np(raw))
+    raw.sort()
+    return IntervalSet._from_normalized(_merge_sorted_runs(raw))
 
 
 def stack_runs(

@@ -213,6 +213,31 @@ class TestMessageGeometry:
         assert ivs.runs <= 2
 
 
+def _every_rectangle(n):
+    for r0 in range(n + 1):
+        for r1 in range(r0, n + 1):
+            for c0 in range(n + 1):
+                for c1 in range(c0, n + 1):
+                    yield r0, r1, c0, c1
+
+
+def _sampled_rectangles(n, count=150):
+    rng = random.Random(n)
+    for _ in range(count):
+        r0, r1 = sorted(rng.randint(0, n) for _ in range(2))
+        c0, c1 = sorted(rng.randint(0, n) for _ in range(2))
+        yield r0, r1, c0, c1
+
+
+def _assert_runs_match_enumeration(lay, rects):
+    """A layout's runs against the base class's enumeration, cell by
+    cell through ``address()``: the reference they must reproduce."""
+    for rect in rects:
+        assert tuple(lay.intervals(*rect)) == tuple(
+            Layout.intervals(lay, *rect)
+        ), rect
+
+
 class TestMortonSpecifics:
     def test_interleave(self):
         from repro.layouts.morton import interleave_bits
@@ -232,29 +257,29 @@ class TestMortonSpecifics:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_runs_match_enumeration_on_every_rectangle(self, n):
-        # the base class enumerates cell by cell through address():
-        # the reference the sorted-address runs must reproduce exactly,
-        # empty rectangles included
-        lay = MortonLayout(n)
-        for r0 in range(n + 1):
-            for r1 in range(r0, n + 1):
-                for c0 in range(n + 1):
-                    for c1 in range(c0, n + 1):
-                        assert tuple(lay.intervals(r0, r1, c0, c1)) == tuple(
-                            Layout.intervals(lay, r0, r1, c0, c1)
-                        ), (r0, r1, c0, c1)
+        # the sorted-address runs, empty rectangles included
+        _assert_runs_match_enumeration(MortonLayout(n), _every_rectangle(n))
 
     @pytest.mark.parametrize("n", [13, 31, 33, 100, 160])
     def test_runs_match_enumeration_on_sampled_rectangles(self, n):
         # padded dimensions: runs must break at the padding holes
-        lay = MortonLayout(n)
-        rng = random.Random(n)
-        for _ in range(150):
-            r0, r1 = sorted(rng.randint(0, n) for _ in range(2))
-            c0, c1 = sorted(rng.randint(0, n) for _ in range(2))
-            assert tuple(lay.intervals(r0, r1, c0, c1)) == tuple(
-                Layout.intervals(lay, r0, r1, c0, c1)
-            ), (r0, r1, c0, c1)
+        _assert_runs_match_enumeration(MortonLayout(n), _sampled_rectangles(n))
+
+
+@pytest.mark.parametrize(
+    "make", [ColumnMajorLayout, RowMajorLayout], ids=["colmajor", "rowmajor"]
+)
+class TestDenseClosedForms:
+    """The strided closed forms: one run per column (row), or one run
+    for a full-height (full-width) rectangle."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_runs_match_enumeration_on_every_rectangle(self, make, n):
+        _assert_runs_match_enumeration(make(n), _every_rectangle(n))
+
+    @pytest.mark.parametrize("n", [13, 31, 33, 100, 160])
+    def test_runs_match_enumeration_on_sampled_rectangles(self, make, n):
+        _assert_runs_match_enumeration(make(n), _sampled_rectangles(n))
 
 
 class TestBlockedSpecifics:

@@ -13,6 +13,7 @@ from repro.layouts import BlockedLayout, ColumnMajorLayout, MortonLayout, RowMaj
 from repro.machine import SequentialMachine
 from repro.matrices import TrackedMatrix
 from repro.matrices.generators import random_spd
+from repro.observability import observe
 from repro.sequential import (
     lapack_blocked,
     naive_left_looking,
@@ -21,11 +22,13 @@ from repro.sequential import (
     square_recursive,
     toledo,
 )
-from repro.util.fastpath import fastpath
 
 
-def run(algo, n, M, layout=None, **kw):
+def run(algo, n, M, layout=None, *, observed=False, **kw):
+    """One run of ``algo``; an observer makes it take the live walk."""
     machine = SequentialMachine(M)
+    if observed:
+        observe(machine)
     lay = layout or ColumnMajorLayout(n)
     A = TrackedMatrix(random_spd(n, seed=n), lay, machine)
     algo(A, **kw)
@@ -41,61 +44,56 @@ def _memory(n: int, regime: str) -> int:
     return {"2n": 2 * n, "2n+1": 2 * n + 1, "4n": 4 * n}[regime]
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["plan", "live"])
+@pytest.mark.parametrize("observed", [False, True], ids=["plan", "live"])
 class TestNaiveExactCounts:
     """§3.1.4 and §3.1.5, M >= 2n, column-major storage: exact
     equalities, on the charge plan and on the live walk."""
 
-    @staticmethod
-    def _run(fast, algo, n, M, layout=None):
-        with fastpath(fast):
-            return run(algo, n, M, layout)
-
     @pytest.mark.parametrize("regime", ["2n", "2n+1", "4n"])
     @pytest.mark.parametrize("n", NAIVE_NS)
-    def test_left_looking_words(self, fast, n, regime):
-        m = self._run(fast, naive_left_looking, n, _memory(n, regime))
+    def test_left_looking_words(self, observed, n, regime):
+        m = run(naive_left_looking, n, _memory(n, regime), observed=observed)
         assert 6 * m.words == n**3 + 6 * n**2 + 5 * n
 
     @pytest.mark.parametrize("regime", ["2n", "2n+1", "4n"])
     @pytest.mark.parametrize("n", NAIVE_NS)
-    def test_left_looking_messages(self, fast, n, regime):
-        m = self._run(fast, naive_left_looking, n, _memory(n, regime))
+    def test_left_looking_messages(self, observed, n, regime):
+        m = run(naive_left_looking, n, _memory(n, regime), observed=observed)
         assert 2 * m.messages == n**2 + 3 * n
 
     @pytest.mark.parametrize("regime", ["2n", "2n+1", "4n"])
     @pytest.mark.parametrize("n", NAIVE_NS)
-    def test_right_looking_words(self, fast, n, regime):
-        m = self._run(fast, naive_right_looking, n, _memory(n, regime))
+    def test_right_looking_words(self, observed, n, regime):
+        m = run(naive_right_looking, n, _memory(n, regime), observed=observed)
         assert 3 * m.words == n**3 + 3 * n**2 + 2 * n
 
     @pytest.mark.parametrize("regime", ["2n", "2n+1", "4n"])
     @pytest.mark.parametrize("n", NAIVE_NS)
-    def test_right_looking_messages(self, fast, n, regime):
-        m = self._run(fast, naive_right_looking, n, _memory(n, regime))
+    def test_right_looking_messages(self, observed, n, regime):
+        m = run(naive_right_looking, n, _memory(n, regime), observed=observed)
         assert m.messages == n**2 + n
 
     @pytest.mark.parametrize("regime", ["2n", "4n"])
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 32])
-    def test_up_looking_mirrors_left(self, fast, n, regime):
+    def test_up_looking_mirrors_left(self, observed, n, regime):
         """The row-wise twin has the left-looking word count, on
         row-major storage, with the same message count."""
         M = _memory(n, regime)
-        m_up = self._run(fast, naive_up_looking, n, M, RowMajorLayout(n))
-        m_left = self._run(fast, naive_left_looking, n, M)
+        m_up = run(naive_up_looking, n, M, RowMajorLayout(n), observed=observed)
+        m_left = run(naive_left_looking, n, M, observed=observed)
         assert m_up.words == m_left.words
         assert m_up.messages == m_left.messages
 
-    def test_left_reads_vs_writes(self, fast):
+    def test_left_reads_vs_writes(self, observed):
         # left-looking writes each column exactly once
         n = 16
-        m = self._run(fast, naive_left_looking, n, 4 * n)
+        m = run(naive_left_looking, n, 4 * n, observed=observed)
         assert m.counters.words_written == n * (n + 1) // 2
 
-    def test_right_writes_more(self, fast):
+    def test_right_writes_more(self, observed):
         # right-looking rewrites trailing columns every iteration
         n = 16
-        m = self._run(fast, naive_right_looking, n, 4 * n)
+        m = run(naive_right_looking, n, 4 * n, observed=observed)
         assert m.counters.words_written > n * (n + 1) // 2
 
 

@@ -2,7 +2,7 @@
 
 ``recursive_runs.golden.json`` pins, for ``toledo`` and
 ``square-recursive`` on every layout at n ∈ {1, 2, 3, 7, 17, 48}, what a
-plain (unobserved, single-level, batched) run charges.  Per case it
+plain (unobserved, single-level) run charges.  Per case it
 records the transfer stream (:mod:`tests.transfer_stream`: the SHA-256
 of each run array — ``starts``, ``stops``, ``kinds``, ``masks`` — and
 their length), the captured :class:`~repro.schedule.TransferSchedule`'s
@@ -27,10 +27,11 @@ The golden was recorded from the per-node charging path, before the
 whole-recursion charge plans replaced it, so it is the record of what
 that path charged.  Both charging paths are held to it: the planned
 one, which plain runs take, on every case, and the live scope path,
-taken with the fast path switched off, on the cases with n ≤ 17 (n = 48
-would add most of a minute on that path).  Regenerate with ``python -m
-tests.sequential.test_recursive_runs_golden`` only for a deliberate
-change of the modeled counts.
+which a machine takes once an observer is attached
+(:func:`~repro.observability.observe`, which never touches a counter),
+on the cases with n ≤ 17 (n = 48 would add most of a minute on that
+path).  Regenerate with ``python -m tests.sequential.test_recursive_runs_golden``
+only for a deliberate change of the modeled counts.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from repro.layouts import available_layouts, make_layout
 from repro.machine import SequentialMachine
 from repro.matrices.generators import random_spd
 from repro.matrices.tracked import TrackedMatrix
+from repro.observability import observe
 from repro.schedule import ScheduleRecorder, compile_disabled
 from repro.sequential.registry import run_algorithm
-from repro.util.fastpath import fastpath, fastpath_enabled
 from tests.transfer_stream import tap
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "recursive_runs.golden.json")
@@ -69,9 +70,12 @@ def _layout(name: str, n: int):
     return make_layout(name, n, block=BLOCK if name == "blocked" else None)
 
 
-def _run(algorithm: str, layout: str, n: int, M: int) -> dict:
-    """One plain run under capture; the record the golden stores."""
+def _run(algorithm: str, layout: str, n: int, M: int, observed: bool) -> dict:
+    """One run under capture, observed (live) or plain (planned); the
+    record the golden stores."""
     machine = SequentialMachine(M)
+    if observed:
+        observe(machine)
     A = TrackedMatrix(random_spd(n, seed=7), _layout(layout, n), machine)
     recorder = ScheduleRecorder(machine)
     stream = tap(machine)
@@ -81,7 +85,7 @@ def _run(algorithm: str, layout: str, n: int, M: int) -> dict:
     except Exception as exc:  # noqa: BLE001 - the exception is the record
         return {"raises": type(exc).__name__, "message": str(exc)}
     finally:
-        if not fastpath_enabled():
+        if observed:
             # the live path charges node by node, never as a batch
             assert machine.batch_hits == 0
     schedule = recorder.finalize()
@@ -100,29 +104,29 @@ def _run(algorithm: str, layout: str, n: int, M: int) -> dict:
     }
 
 
-def _smallest_M(algorithm: str, layout: str, n: int) -> int:
+def _smallest_M(algorithm: str, layout: str, n: int, observed: bool) -> int:
     for M in range(1, n * n + 2):
-        if "raises" not in _run(algorithm, layout, n, M):
+        if "raises" not in _run(algorithm, layout, n, M, observed):
             return M
     raise AssertionError(f"{algorithm}/{layout}/n={n} fails at every M")
 
 
-def _memory_sizes(algorithm: str, layout: str, n: int) -> list[int]:
-    lo = _smallest_M(algorithm, layout, n)
+def _memory_sizes(algorithm: str, layout: str, n: int, observed: bool) -> list[int]:
+    lo = _smallest_M(algorithm, layout, n, observed)
     W = _layout(layout, n).rect_words(0, n, 0, n)
     return sorted(
         M for M in {lo - 1, lo, n, n + 1, W - 1, W, n * n + n} if M >= 1
     )
 
 
-def records(sizes: "tuple[int, ...]" = SIZES) -> dict:
+def records(sizes: "tuple[int, ...]" = SIZES, observed: bool = False) -> dict:
     out = {}
     for algorithm in ALGORITHMS:
         for layout in available_layouts():
             for n in sizes:
-                for M in _memory_sizes(algorithm, layout, n):
+                for M in _memory_sizes(algorithm, layout, n, observed):
                     out[f"{algorithm}/{layout}/n={n}/M={M}"] = _run(
-                        algorithm, layout, n, M
+                        algorithm, layout, n, M, observed
                     )
     return out
 
@@ -143,8 +147,7 @@ def test_recursive_runs_match_the_golden(path, request):
     if path == "plan":
         assert golden_text(request.getfixturevalue("recs")) == golden
         return
-    with fastpath(False):
-        live = records(LIVE_SIZES)
+    live = records(LIVE_SIZES, observed=True)
     expected = {
         key: rec for key, rec in json.loads(golden).items()
         if int(key.split("/n=")[1].split("/")[0]) in LIVE_SIZES

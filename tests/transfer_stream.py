@@ -66,8 +66,8 @@ def tap(machine):
         record(batch.starts.copy(), batch.stops.copy(), kinds, everywhere)
 
     @contextmanager
-    def tapped_scope(read_ivs, write_ivs=None, **kwargs):
-        with scope(read_ivs, write_ivs, **kwargs) as handle:
+    def tapped_scope(read_ivs, write_ivs=None):
+        with scope(read_ivs, write_ivs) as handle:
             mask = sum(
                 1 << i for i, level in enumerate(machine.levels)
                 if level.fitted_scope_depth == handle.depth

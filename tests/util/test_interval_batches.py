@@ -4,8 +4,8 @@ Covers the fast-path constructors the simulator hot loop relies on:
 ``IntervalSet.from_strided`` (closed-form panel footprints),
 ``RunBatch`` (struct-of-arrays transfer sequences), the stacked-run
 helpers a charge plan builds its batch with (``stack_runs``,
-``gather_runs``, ``union_groups``), and the NumPy merge path — each
-checked against the brute-force element-wise construction it replaces.
+``gather_runs``, ``union_groups``), and the NumPy merge — each checked
+against the brute-force element-wise construction it replaces.
 """
 
 from __future__ import annotations
@@ -15,23 +15,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.fastpath import fastpath_enabled, set_fastpath
 from repro.util.intervals import (
     EMPTY,
     IntervalSet,
     RunBatch,
+    _merge_intervals_np,
+    _merge_sorted_runs,
     gather_runs,
     merge_intervals,
     stack_runs,
     union_all,
     union_groups,
 )
-
-
-@pytest.fixture(autouse=True)
-def _restore_fastpath():
-    yield
-    set_fastpath(True)
 
 
 def _batch(sets, is_write=False) -> RunBatch:
@@ -159,34 +154,39 @@ class TestMergeFastPath:
         )
     )
     def test_numpy_merge_matches_python_merge(self, raw):
-        set_fastpath(True)
-        fast = merge_intervals(raw)
-        set_fastpath(False)
-        slow = merge_intervals(raw)
-        set_fastpath(True)
-        assert fast == slow
+        python = _merge_sorted_runs(sorted(p for p in raw if p[1] > p[0]))
+        assert _merge_intervals_np(raw) == python
+        assert merge_intervals(raw) == python
 
     def test_large_union_all_both_paths(self):
         sets = [IntervalSet([(i * 3, i * 3 + 2)]) for i in range(200)]
-        set_fastpath(True)
+        raw = [iv for s in sets for iv in s.intervals]
         fast = union_all(sets)
-        set_fastpath(False)
-        slow = union_all(sets)
-        set_fastpath(True)
-        assert fast == slow
-        assert fast.words == slow.words
+        assert fast == IntervalSet(raw)
+        assert fast.intervals == _merge_sorted_runs(sorted(raw))
+        assert fast.words == 400
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 300), st.integers(0, 40)).map(
+                    lambda t: (t[0], t[0] + t[1])
+                ),
+                max_size=30,
+            ),
+            max_size=8,
+        )
+    )
+    def test_union_all_matches_the_general_merge(self, raws):
+        sets = [IntervalSet(raw) for raw in raws]
+        assert union_all(sets) == IntervalSet(
+            [iv for s in sets for iv in s.intervals]
+        )
 
     def test_words_vectorized_path(self):
         # >= the NumPy threshold of disjoint runs
         s = IntervalSet([(i * 5, i * 5 + 2) for i in range(100)])
         assert s.words == 200
-
-    def test_fastpath_toggle_roundtrip(self):
-        assert fastpath_enabled()
-        set_fastpath(False)
-        assert not fastpath_enabled()
-        set_fastpath(True)
-        assert fastpath_enabled()
 
 
 def _unstack(runs) -> list:
