@@ -178,3 +178,12 @@ def lower_words(r0: int, r1: int, c0: int, c1: int) -> int:
     if b > a:
         words += (b - a) * r1 - (a + b - 1) * (b - a) // 2
     return words
+
+
+def lower_words_of(r0, r1, c0, c1) -> np.ndarray:
+    """:func:`lower_words` of many nonempty rectangles, given as integer
+    arrays of their bounds."""
+    a, b = np.maximum(c0, r0), np.minimum(c1, r1)
+    d = np.maximum(b - a, 0)
+    words = np.maximum(np.minimum(c1, r0) - c0, 0) * (r1 - r0)
+    return words + d * r1 - (a + b - 1) * d // 2

@@ -114,7 +114,7 @@ class TrackedMatrix:
     # -- batched runs ----------------------------------------------------
 
     def rect_runs(
-        self, rects: "Sequence[tuple[int, int, int, int]]"
+        self, rects: "np.ndarray | Sequence[tuple[int, int, int, int]]"
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Global runs of every ``(r0, r1, c0, c1)`` rectangle, stacked.
 
@@ -128,6 +128,7 @@ class TrackedMatrix:
         if self.layout.vectorized_runs:
             starts, stops, offsets = self.layout.rect_runs(rects)
             return starts + self.base, stops + self.base, offsets
+        rects = np.asarray(rects, dtype=np.int64).reshape(-1, 4).tolist()
         return stack_runs([self.intervals(*rect) for rect in rects])
 
     def block(

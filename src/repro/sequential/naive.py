@@ -21,10 +21,13 @@ The implementations follow the paper's two regimes exactly:
 Each variant is one walk: every transfer the paper counts goes through
 the run's charging object (:func:`~repro.sequential.charge_plan.charging`:
 one machine call per transfer, or one planned batch for a run nothing
-observes on one fast level), while the numbers are computed a column,
-segment or row at a time — one GEMV, or one rank-1 ``tril`` update,
-where the paper's loop runs k axpys.  Both paths therefore produce the
-same bits.
+observes on one fast level).  The per-column (or per-row) transfers
+are single calls; each inner loop of re-reads is handed over whole, as
+one ``sweep`` of a per-step program over the steps' storage
+rectangles.  The numbers are computed a column, segment or row at a
+time — one GEMV, one rank-1 ``tril`` update, or one triangular solve,
+where the paper's loop runs k axpys or dot products.  Both paths
+therefore produce the same bits.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from repro.machine.core import ModelError
 from repro.matrices.tracked import TrackedMatrix
@@ -39,9 +43,34 @@ from repro.sequential.charge_plan import charging
 from repro.sequential.flops import column_scale_flops, column_update_flops
 
 
+#: Per-step transfer programs of the inner loops (``ch.sweep``): re-read
+#: one block; re-read a segment and its multiplier; read, update and
+#: write back one block; and a right-looking update segment pair, with
+#: the multiplier read before a column's first pair (slot 0) and
+#: released after its last (slot 3), empty in the other steps.
+_REREAD = (("read", 0), ("release", 0))
+_REREAD_PAIR = (("read", 0), ("read", 1), ("release", 0), ("release", 1))
+_UPDATE = (("read", 0), ("write", 0), ("release", 0))
+_UPDATE_PAIR = (
+    ("read", 0), ("read", 1), ("read", 2), ("write", 2),
+    ("release", 1), ("release", 2), ("release", 3),
+)
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ModelError(msg)
+
+
+def _steps(count: int, *slots) -> np.ndarray:
+    """``count`` steps' storage rectangles, shaped ``(count, slots, 4)``:
+    slot ``s`` is ``slots[s] = (r0, r1, c0, c1)``, each a number or one
+    value per step."""
+    rects = np.empty((count, len(slots), 4), dtype=np.int64)
+    for s, rect in enumerate(slots):
+        for f, value in enumerate(rect):
+            rects[:, s, f] = value
+    return rects
 
 
 def naive_left_looking(A: TrackedMatrix) -> np.ndarray:
@@ -69,16 +98,15 @@ def naive_left_looking(A: TrackedMatrix) -> np.ndarray:
 def _left_whole_columns(ch, A: TrackedMatrix) -> None:
     n, machine, data = A.n, A.machine, A.data
     prof = machine.profiler
+    ks = np.arange(n + 1)
     for j in range(n):
         with prof.span("column", j=j):
             colj = A.block(j, n, j, j + 1)
             ch.read(colj)
             col = colj.view()
             if j:
-                for k in range(j):
-                    colk = A.block(j, n, k, k + 1)
-                    ch.read(colk)
-                    ch.release(colk)
+                # re-read rows [j, n) of every earlier column k
+                ch.sweep(_REREAD, _steps(j, (j, n, ks[:j], ks[1 : j + 1])))
                 col -= data[j:n, :j] @ data[j, :j, None]
                 machine.add_flops(j * column_update_flops(n - j))
             _scale_column_in_place(col, machine)
@@ -90,6 +118,7 @@ def _left_segmented(ch, A: TrackedMatrix) -> None:
     n, machine, data = A.n, A.machine, A.data
     prof = machine.profiler
     seg = max(1, (machine.M - 2) // 2)  # segment + sibling + 2 pinned words
+    ks = np.arange(n + 1)
     for j in range(n):
         with prof.span("column", j=j):
             pivot: float | None = None
@@ -102,13 +131,9 @@ def _left_segmented(ch, A: TrackedMatrix) -> None:
                 if j:
                     # (segment k, multiplier a_jk) pairs; in the pivot
                     # segment a_jk lies inside segment k
-                    for k in range(j):
-                        segk = A.block(r, re, k, k + 1)
-                        ajk = A.block(j, j + 1, k, k + 1)
-                        ch.read(segk)
-                        ch.read(ajk)
-                        ch.release(segk)
-                        ch.release(ajk)
+                    k0, k1 = ks[:j], ks[1 : j + 1]
+                    ch.sweep(_REREAD_PAIR,
+                             _steps(j, (r, re, k0, k1), (j, j + 1, k0, k1)))
                     vals -= data[r:re, :j] @ data[j, :j, None]
                     machine.add_flops(j * column_update_flops(re - r))
                 if r == j:
@@ -157,17 +182,17 @@ def _rank1_trailing_update(A: TrackedMatrix, j: int) -> None:
 def _right_whole_columns(ch, A: TrackedMatrix) -> None:
     n, machine = A.n, A.machine
     prof = machine.profiler
+    ks = np.arange(n + 1)
     for j in range(n):
         with prof.span("column", j=j):
             colj = A.block(j, n, j, j + 1)
             ch.read(colj)
             _scale_column_in_place(colj.view(), machine)
             if j + 1 < n:
-                for k in range(j + 1, n):
-                    colk = A.block(k, n, k, k + 1)
-                    ch.read(colk)
-                    ch.write(colk)
-                    ch.release(colk)
+                # update the stored part, rows [k, n), of every trailing
+                # column k
+                k = ks[j + 1 : n]
+                ch.sweep(_UPDATE, _steps(n - j - 1, (k, n, k, k + 1)))
                 _rank1_trailing_update(A, j)
             ch.write(colj)
             ch.release(colj)
@@ -180,6 +205,15 @@ def _right_segmented(ch, A: TrackedMatrix) -> None:
     seg_f = max(1, machine.M - 1)
     # update phase: two sibling segments + pinned multiplier word
     seg_u = max(1, (machine.M - 1) // 2)
+    # the update steps of every column k, k by k: (k, segment [r, re));
+    # column j updates the suffix of them with k > j
+    ks = np.arange(n)
+    counts = -(-(n - ks) // seg_u)
+    start = np.cumsum(counts) - counts
+    k_of = np.repeat(ks, counts)
+    r_of = k_of + seg_u * (np.arange(len(k_of)) - start[k_of])
+    re_of = np.minimum(r_of + seg_u, n)
+    first, last = r_of == k_of, re_of == n
     for j in range(n):
         with prof.span("column", j=j):
             pivot: float | None = None
@@ -204,19 +238,15 @@ def _right_segmented(ch, A: TrackedMatrix) -> None:
                 # per trailing column k: the multiplier a_kj, then
                 # (segj, segk) pairs; a_kj lies inside k's first segj
                 # and leaves with it
-                for k in range(j + 1, n):
-                    akj = A.block(k, k + 1, j, j + 1)
-                    ch.read(akj)
-                    for r in range(k, n, seg_u):
-                        re = min(r + seg_u, n)
-                        segj = A.block(r, re, j, j + 1)
-                        segk = A.block(r, re, k, k + 1)
-                        ch.read(segj)
-                        ch.read(segk)
-                        ch.write(segk)
-                        ch.release(segj)
-                        ch.release(segk)
-                    ch.release(akj)
+                u = start[j + 1]
+                k, r, re = k_of[u:], r_of[u:], re_of[u:]
+                ch.sweep(_UPDATE_PAIR, _steps(
+                    len(k),
+                    (k, k + first[u:], j, j + 1),
+                    (r, re, j, j + 1),
+                    (r, re, k, k + 1),
+                    (k, k + last[u:], j, j + 1),
+                ))
                 _rank1_trailing_update(A, j)
 
 
@@ -237,20 +267,20 @@ def naive_up_looking(A: TrackedMatrix) -> np.ndarray:
     )
     ch = charging(A)
     prof, data = machine.profiler, A.data
+    ks = np.arange(n + 1)
+    rows = _steps(n, (ks[:n], ks[1:], 0, ks[1:]))  # the stored part of each row
     for i in range(n):
         with prof.span("row", i=i):
             rowi_ref = A.block(i, i + 1, 0, i + 1)
             ch.read(rowi_ref)
             rowi = rowi_ref.peek()[0]
             if i:
-                for j in range(i):
-                    rowj = A.block(j, j + 1, 0, j + 1)
-                    ch.read(rowj)
-                    ch.release(rowj)
-                # the solve stays sequential: rowi[j] feeds rowi[j+1]
-                for j in range(i):
-                    rowj = data[j, : j + 1]
-                    rowi[j] = (rowi[j] - rowi[:j] @ rowj[:j]) / rowj[j]
+                ch.sweep(_REREAD, rows[:i])
+                # forward substitution against the finished rows:
+                # L[:i, :i] @ l_i = a_i
+                rowi[:i] = solve_triangular(
+                    data[:i, :i], rowi[:i], lower=True, check_finite=False
+                )
                 machine.add_flops(i * i)
             pivot = rowi[i] - rowi[:i] @ rowi[:i]
             if pivot <= 0:

@@ -66,18 +66,7 @@ def merge_intervals(raw: Iterable[Interval]) -> Tuple[Interval, ...]:
     pairs = raw if isinstance(raw, list) else list(raw)
     if len(pairs) >= _NP_MERGE_MIN:
         return _merge_intervals_np(pairs)
-    cleaned = sorted((int(a), int(b)) for a, b in pairs if b > a)
-    if not cleaned:
-        return ()
-    merged: list[Interval] = [cleaned[0]]
-    for start, stop in cleaned[1:]:
-        last_start, last_stop = merged[-1]
-        if start <= last_stop:  # overlap or adjacency
-            if stop > last_stop:
-                merged[-1] = (last_start, stop)
-        else:
-            merged.append((start, stop))
-    return tuple(merged)
+    return _merge_sorted_runs(sorted((int(a), int(b)) for a, b in pairs if b > a))
 
 
 class IntervalSet:

@@ -114,3 +114,19 @@ def test_tracked_rect_runs_equal_the_memo(name):
     batch = RunBatch.from_runs(*got, is_write=flags)
     kept = [f for s, f in zip(sets, flags) if s]
     assert batch.is_write.tolist() == kept and batch.nsets == len(kept)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_lower_words_of_equals_the_stored_words(n):
+    """The array form of ``lower_words`` against the packed layout's
+    stored words, on every nonempty rectangle."""
+    from repro.layouts.base import lower_words_of
+
+    layout = make_layout("packed", n)
+    rects = [
+        (r0, r1, c0, c1)
+        for r0, r1 in itertools.combinations(range(n + 1), 2)
+        for c0, c1 in itertools.combinations(range(n + 1), 2)
+    ]
+    got = lower_words_of(*np.array(rects).T)
+    assert got.tolist() == [layout.intervals(*r).words for r in rects]

@@ -85,6 +85,23 @@ REGISTRY_SHAPES = [
                  id="square-recursive-morton"),
 ]
 
+#: The naïve variants at their edges, on column-major and a packed
+#: layout: n in {1, 2, 3, 17} with the smallest M the model accepts
+#: (one-row segments; whole rows for up-looking), then 2n - 1, 2n and
+#: 2n + 1 around the whole-column switch, where accepted.  Column 0
+#: re-reads nothing (an empty sweep) and column 1 one column (a
+#: one-step sweep).
+NAIVE_EDGE_SHAPES = [
+    pytest.param(algorithm, layout, n, M, id=f"{algorithm}-{layout}-n{n}-M{M}")
+    for algorithm in ("naive-left", "naive-right", "naive-up")
+    for n in (1, 2, 3, 17)
+    for M in sorted({
+        M for M in (min(4, 2 * n), 2 * n - 1, 2 * n, 2 * n + 1)
+        if M >= 2 * n or (M >= 4 and algorithm != "naive-up")
+    })
+    for layout in ("column-major", "packed")
+]
+
 
 def _layout(name: str, n: int, M: int):
     """``name`` at dimension ``n``; blocked tiles are the b of 3b² <= M."""
@@ -220,6 +237,12 @@ class TestChargePlanGolden:
 
     @pytest.mark.parametrize("algorithm,layout,n,M", REGISTRY_SHAPES)
     def test_plan_matches_reference_on_the_registry_grid(
+        self, algorithm, layout, n, M
+    ):
+        self._compare(algorithm, layout, n, M)
+
+    @pytest.mark.parametrize("algorithm,layout,n,M", NAIVE_EDGE_SHAPES)
+    def test_plan_matches_reference_at_the_naive_edges(
         self, algorithm, layout, n, M
     ):
         self._compare(algorithm, layout, n, M)
